@@ -12,9 +12,10 @@ a lossy channel, deep coordinated attack):
   :mod:`repro.core.naive`;
 * **batched vs per-fact** — a multi-fact sweep whose rows rebuild
   syntactically identical condition facts, once through the batched
-  APIs (``truths_at`` / ``beliefs_batch``) on a structural-key index
-  and once through per-fact single queries on an identity-keyed index
-  (the pre-batching behavior, where rebuilt facts never hit a cache).
+  APIs (``truths_at`` / ``beliefs_batch``) on the library's
+  structural-key index and once through per-fact single queries on an
+  identity-keyed index (the pre-batching behavior, where rebuilt facts
+  never hit a cache; emulated here by :class:`_IdentityKeyedIndex`).
 
 Results must be ``Fraction``-equal in both comparisons; the tables
 report wall-clock times and the speedup.
@@ -50,9 +51,9 @@ from repro.core.atoms import does_, performed
 from repro.core.beliefs import belief, occurrence_event, threshold_met_measure
 from repro.core.common_belief import believes
 from repro.core.constraints import achieved_probability
-from repro.core.engine import SystemIndex
 from repro.core.expectation import expected_belief
 from repro.core.knowledge import knowledge_partition, knows
+from repro.core.engine import SystemIndex
 from repro.core.pps import PPS
 
 THRESHOLDS = ("1/3", "1/2", "2/3", "9/10")
@@ -231,9 +232,19 @@ def _row_quantities(index, agent, locals_sorted, facts, masks_by_t, beliefs_by_l
     return out
 
 
-def _per_fact_row_fn(pps: PPS, agent, action):
+class _IdentityKeyedIndex(SystemIndex):
+    """The pre-batching baseline: memo caches keyed on fact identity.
+
+    Equal-but-distinct fact objects get separate cache entries, so each
+    sweep row's rebuilt facts miss every cache.
+    """
+
+    def _fact_key(self, fact):
+        return fact
+
+
+def _per_fact_row_fn(index: SystemIndex, agent, action):
     """The single-query path: one engine call per (fact, slice/state)."""
-    index = pps.index()
     locals_sorted = sorted(index.local_states(agent), key=repr)
     times = range(index.max_time + 1)
 
@@ -286,17 +297,11 @@ def compare_batched(
     *,
     smoke: bool,
 ) -> Dict[str, object]:
-    """Time the per-fact and batched sweeps; require exact agreement.
-
-    The per-fact system gets an identity-keyed index — the pre-batching
-    behavior, where each row's rebuilt facts miss every cache — while
-    the batched system keeps the structural-key default.
-    """
+    """Time the per-fact and batched sweeps; require exact agreement."""
     grid = _sweep_grid(smoke=smoke)
-    single_pps = build()
-    SystemIndex.of(single_pps, structural_keys=False)
+    single_index = _IdentityKeyedIndex(build())
     single_time, single_table = _time(
-        lambda: sweep(grid, _per_fact_row_fn(single_pps, agent, action)), 1
+        lambda: sweep(grid, _per_fact_row_fn(single_index, agent, action)), 1
     )
     batched_pps = build()
     batched_time, batched_table = _time(

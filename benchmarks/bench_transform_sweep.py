@@ -15,15 +15,16 @@ family (Example 1 at several loss rates) through both paths:
 
 * **derived** (the default): every row is a ``DerivedPPS`` sharing the
   parent's tree, probability kernel, partitions, and belief caches;
-* **materialized** (``materialize=True``): every row pays the historic
-  copy + validation + cold index build.
+* **materialized** (``refrain_threshold_sweep(..., materialize=True)``):
+  every row is ``materialize(refrain_below_threshold(...))`` and pays
+  the historic deep copy + cold index build.
 
 Every row pair must agree ``Fraction``-exactly on the achieved
 probability and the retained coverage — parity is enforced in every
 mode.  The ≥3x speedup bar on the largest family member is enforced on
 the full run and advisory in ``--smoke`` (CI wall-clock on tiny
 workloads is too noisy for a hard gate).  The benchmark also checks
-the escape hatch's bit-identity contract: ``materialize=True`` must
+``materialize``'s bit-identity contract: a materialized refrain must
 reproduce the pre-derived-layer implementation's tree exactly — uid
 sequence, leaf order, probabilities — which is asserted against an
 inlined copy of that legacy path.
@@ -55,6 +56,7 @@ from repro.apps.firing_squad import (
     build_firing_squad,
 )
 from repro.core.beliefs import belief
+from repro.core.reweight import materialize
 from repro.core.numeric import as_fraction
 from repro.core.pps import PPS, Node
 from repro.protocols import refrain_below_threshold
@@ -118,18 +120,16 @@ def legacy_refrain(
 
 
 def assert_materialize_bit_identity(base: PPS) -> None:
-    """materialize=True must reproduce the legacy tree exactly."""
+    """A materialized refrain must reproduce the legacy tree exactly."""
     phi = both_fire()
     legacy = legacy_refrain(base, ALICE, FIRE, phi, THRESHOLD)
-    hatch = refrain_below_threshold(
-        base, ALICE, FIRE, phi, THRESHOLD, materialize=True
-    )
+    hatch = materialize(refrain_below_threshold(base, ALICE, FIRE, phi, THRESHOLD))
     assert tree_signature(hatch) == tree_signature(legacy), (
-        "materialize=True diverged from the legacy deep-copy path"
+        "materialize diverged from the legacy deep-copy path"
     )
     assert [run.prob for run in hatch.runs] == [
         run.prob for run in legacy.runs
-    ], "materialize=True: leaf order / probability divergence"
+    ], "materialize: leaf order / probability divergence"
 
 
 # ----------------------------------------------------------------------

@@ -25,6 +25,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
+from ..core import reweight
 from ..core.constraints import achieved_probability
 from ..core.engine import SystemIndex
 from ..core.facts import Fact
@@ -156,9 +157,11 @@ def refrain_threshold_sweep(
     beliefs that decide the relabelling are memoized once on the
     parent's index and shared across all rows, and each row's index
     inherits everything label-independent from the parent's.  Pass
-    ``materialize=True`` to force the historic deep-copy-and-rebuild
-    path instead (each row then pays a full copy, validation, and cold
-    index build — the benchmark's baseline).
+    ``materialize=True`` to build each row instead as
+    ``materialize(refrain_below_threshold(...))``
+    (:func:`repro.core.reweight.materialize`): a full copy and cold
+    index build per row, independent of the sweep's hoisted fast path
+    — the oracle that derived rows are checked against.
 
     A threshold of 0 never strips an edge (beliefs are never negative),
     so the first row of the usual ``0 .. 1`` grid reports the original
@@ -184,8 +187,8 @@ def refrain_threshold_sweep(
     absorbs each worker's ``numeric_stats()`` delta — in chunk order,
     so rows, exact values, and counter totals are identical to the
     serial sweep.  Any transport failure (no ``fork`` on the platform,
-    an unpicklable row cell) falls back to the serial path silently;
-    ``parallel=None``/``0``/``1`` never forks at all.
+    an unpicklable row cell) falls back to the serial path, recording
+    the degradation; ``parallel=None``/``0``/``1`` never forks at all.
 
     Returns:
         one row dict per threshold:
@@ -193,109 +196,58 @@ def refrain_threshold_sweep(
         (``LazyProb``/float cells in the non-default modes).
     """
     check_numeric_mode(numeric)
-    make_row = _candidate_edge_transform(
-        pps, agent, action, phi, replacement=replacement, numeric=numeric
-    ) if not materialize else None
-    bounds = [as_fraction(threshold) for threshold in thresholds]
-    distinct: List[Fraction] = []
-    seen = set()
-    for bound in bounds:
-        if bound not in seen:
-            seen.add(bound)
-            distinct.append(bound)
-    computed: Optional[Dict[Fraction, Row]] = None
-    if parallel is not None and parallel > 1 and len(distinct) > 1:
-        computed = _parallel_rows(
-            pps,
-            agent,
-            phi,
-            action,
-            distinct,
-            replacement=replacement,
-            materialize=materialize,
-            numeric=numeric,
-            make_row=make_row,
-            parallel=parallel,
-        )
-    if computed is None:
-        computed = {
-            bound: _threshold_row(
-                pps,
-                agent,
-                phi,
-                action,
-                bound,
-                replacement=replacement,
-                materialize=materialize,
-                numeric=numeric,
-                make_row=make_row,
+    if materialize:
+        from ..protocols.strategies import refrain_below_threshold
+
+        def build(bound: Fraction) -> PPS:
+            return reweight.materialize(
+                refrain_below_threshold(
+                    pps,
+                    agent,
+                    action,
+                    phi,
+                    bound,
+                    replacement=replacement,
+                    numeric=numeric,
+                )
             )
-            for bound in distinct
-        }
-    return [dict(computed[bound]) for bound in bounds]
 
-
-def _threshold_row(
-    pps: PPS,
-    agent: AgentId,
-    phi: Fact,
-    action: Action,
-    bound: Fraction,
-    *,
-    replacement: Action,
-    materialize: bool,
-    numeric: str,
-    make_row,
-) -> Row:
-    """One sweep row: build the refrain-derived system and measure it.
-
-    The shared row builder of the serial loop and the parallel workers
-    — one code path, so a forked row is the serial row by construction.
-    """
-    from ..protocols.strategies import refrain_below_threshold
-
-    if make_row is not None:
-        modified = make_row(bound)
     else:
-        modified = refrain_below_threshold(
-            pps,
-            agent,
-            action,
-            phi,
-            bound,
-            replacement=replacement,
-            materialize=materialize,
-            numeric=numeric,
+        build = _candidate_edge_transform(
+            pps, agent, action, phi, replacement=replacement, numeric=numeric
         )
-    index = SystemIndex.of(modified)
-    return {
-        "threshold": bound,
-        "achieved": achieved_probability(
-            modified, agent, phi, action, numeric=numeric
-        ),
-        "coverage": index.probability(
-            index.performing_mask(agent, action), numeric=numeric
-        ),
-    }
+
+    def build_row(bound: Fraction) -> Row:
+        modified = build(bound)
+        index = SystemIndex.of(modified)
+        return {
+            "threshold": bound,
+            "achieved": achieved_probability(
+                modified, agent, phi, action, numeric=numeric
+            ),
+            "coverage": index.probability(
+                index.performing_mask(agent, action), numeric=numeric
+            ),
+        }
+
+    return _sweep_rows(build_row, thresholds, parallel)
 
 
 def reweight_sweep(
     pps: PPS,
-    transform: Callable[..., PPS],
+    transform: Callable[[PPS, Fraction], PPS],
     values: Sequence[ProbabilityLike],
     measure: Callable[..., Mapping[str, object]],
     *,
     param: str = "value",
-    materialize: bool = False,
     numeric: str = "exact",
     parallel: Optional[int] = None,
 ) -> List[Row]:
     """One row per probability-parameter value, sharing one parent index.
 
     The weight-side sibling of :func:`refrain_threshold_sweep`: for
-    each value the system is reweighted with
-    ``transform(pps, value, materialize=...)`` — e.g.
-    :func:`repro.apps.firing_squad.drift_loss`, or a lambda over
+    each value the system is reweighted with ``transform(pps, value)``
+    — e.g. :func:`repro.apps.firing_squad.drift_loss`, or a lambda over
     :func:`repro.core.reweight.scale_adversary` — and the row records
     ``measure(system, numeric=...)``, a mapping of named cells (achieved
     probabilities, theorem verdicts, PAK levels, ...).
@@ -307,8 +259,9 @@ def reweight_sweep(
     kernels.  Rows compose with the action-side transforms — ``measure``
     may itself refrain/relabel the reweighted child, and a reweighted
     child may feed :func:`refrain_threshold_sweep` — since overlays
-    flatten under chaining.  Pass ``materialize=True`` to force the
-    deep-copy-and-rebuild baseline per row (the benchmark's cold path).
+    flatten under chaining.  For the deep-copy-and-rebuild baseline,
+    pass a transform that materializes its result, e.g.
+    ``lambda p, v: materialize(drift_loss(p, v))``.
 
     Repeated values are deduplicated before any system is built and the
     computed rows fanned back out in input order, and ``parallel=N``
@@ -316,8 +269,8 @@ def reweight_sweep(
     exactly as in :func:`refrain_threshold_sweep`: the parent index is
     hoisted before the fork, workers build contiguous chunks, and rows
     and ``numeric_stats()`` deltas are reassembled in chunk order —
-    serial results by construction, with silent serial fallback on any
-    transport failure.
+    serial results by construction, with a recorded serial fallback on
+    any transport failure.
 
     Returns:
         one row dict per value: ``{param: value, **measure_cells}``.
@@ -328,75 +281,48 @@ def reweight_sweep(
     """
     check_numeric_mode(numeric)
     SystemIndex.of(pps)  # hoist: one shared parent index, built pre-fork
+
+    def build_row(value: Fraction) -> Row:
+        result = measure(transform(pps, value), numeric=numeric)
+        if param in result:
+            raise ValueError(
+                f"measure() returned a cell named {param!r}, which would "
+                "overwrite the parameter column; rename one of them"
+            )
+        row: Row = {param: value}
+        row.update(result)
+        return row
+
+    return _sweep_rows(build_row, values, parallel)
+
+
+def _sweep_rows(
+    build_row: Callable[[Fraction], Row],
+    values: Sequence[ProbabilityLike],
+    parallel: Optional[int],
+) -> List[Row]:
+    """Both sweeps' row loop: dedupe, build (forked or serial), fan out.
+
+    ``build_row`` is the one row builder of the serial loop and the
+    forked workers, so a forked row is the serial row by construction.
+    Repeated values are built once and every input position gets its
+    own copy of the row dict, in input order.
+    """
     bounds = [as_fraction(value) for value in values]
-    distinct: List[Fraction] = []
-    seen = set()
-    for bound in bounds:
-        if bound not in seen:
-            seen.add(bound)
-            distinct.append(bound)
+    distinct = list(dict.fromkeys(bounds))
     computed: Optional[Dict[Fraction, Row]] = None
     if parallel is not None and parallel > 1 and len(distinct) > 1:
-        computed = _parallel_reweight_rows(
-            pps,
-            transform,
-            measure,
-            distinct,
-            param=param,
-            materialize=materialize,
-            numeric=numeric,
-            parallel=parallel,
-        )
+        computed = _forked_rows(build_row, distinct, parallel)
     if computed is None:
-        computed = {
-            bound: _reweight_row(
-                pps,
-                transform,
-                measure,
-                bound,
-                param=param,
-                materialize=materialize,
-                numeric=numeric,
-            )
-            for bound in distinct
-        }
+        computed = {bound: build_row(bound) for bound in distinct}
     return [dict(computed[bound]) for bound in bounds]
 
 
-def _reweight_row(
-    pps: PPS,
-    transform: Callable[..., PPS],
-    measure: Callable[..., Mapping[str, object]],
-    value: Fraction,
-    *,
-    param: str,
-    materialize: bool,
-    numeric: str,
-) -> Row:
-    """One sweep row: build the reweighted child and measure it.
-
-    The shared row builder of the serial loop and the parallel workers
-    — one code path, so a forked row is the serial row by construction.
-    """
-    system = transform(pps, value, materialize=materialize)
-    result = measure(system, numeric=numeric)
-    if param in result:
-        raise ValueError(
-            f"measure() returned a cell named {param!r}, which would "
-            "overwrite the parameter column; rename one of them"
-        )
-    row: Row = {param: value}
-    row.update(result)
-    return row
-
-
-# Fork-inherited sweep state for _sweep_chunk_task: the parent system,
-# query, and hoisted row builder cannot (and need not) cross the pipe —
-# workers are forked after this global is set and read it directly.
-_SWEEP_STATE: Optional[tuple] = None
-
-# Fork-inherited state for _reweight_chunk_task, mirroring _SWEEP_STATE.
-_REWEIGHT_STATE: Optional[tuple] = None
+# Fork-inherited state for _chunk_task: the sweep's row builder (a
+# closure over the parent system, query, and hoisted tables) and its
+# distinct values cannot (and need not) cross the pipe — workers are
+# forked after this global is set and read it directly.
+_FORK_STATE: Optional[tuple] = None
 
 
 def _encode_cell(value: object):
@@ -450,8 +376,8 @@ def _submit_with_retry(
             time.sleep(backoff * (2 ** (attempt - 1)))
 
 
-def _sweep_chunk_task(chunk: Sequence[int]):
-    """Worker task: build the rows for one contiguous chunk of bounds.
+def _chunk_task(chunk: Sequence[int]):
+    """Worker task: build the rows for one contiguous chunk of values.
 
     Returns encoded rows in chunk order plus this task's
     ``numeric_stats()`` and resilience-report deltas (both are reset on
@@ -461,57 +387,40 @@ def _sweep_chunk_task(chunk: Sequence[int]):
     from ..core.faults import report_delta, reset_resilience_report
     from ..core.lazyprob import numeric_stats, reset_numeric_stats
 
-    state = _SWEEP_STATE
+    state = _FORK_STATE
     if state is None:  # pragma: no cover - defensive: task outside a pool
         raise RuntimeError("sweep worker has no inherited state")
-    (pps, agent, phi, action, distinct, replacement, materialize,
-     numeric, make_row) = state
+    build_row, distinct = state
     reset_numeric_stats()
     reset_resilience_report()
     rows = []
     for pos in chunk:
-        row = _threshold_row(
-            pps,
-            agent,
-            phi,
-            action,
-            distinct[pos],
-            replacement=replacement,
-            materialize=materialize,
-            numeric=numeric,
-            make_row=make_row,
-        )
+        row = build_row(distinct[pos])
         rows.append({key: _encode_cell(value) for key, value in row.items()})
     return rows, numeric_stats(), report_delta()
 
 
-def _parallel_rows(
-    pps: PPS,
-    agent: AgentId,
-    phi: Fact,
-    action: Action,
+def _forked_rows(
+    build_row: Callable[[Fraction], Row],
     distinct: Sequence[Fraction],
-    *,
-    replacement: Action,
-    materialize: bool,
-    numeric: str,
-    make_row,
     parallel: int,
 ) -> Optional[Dict[Fraction, Row]]:
-    """The distinct-threshold rows via a forked pool, or ``None``.
+    """The distinct-value rows via a forked pool, or ``None``.
 
     ``None`` means "could not run parallel" (no ``fork`` context, pool
     creation refused, or a result failed to cross the pipe) and sends
-    the caller down the serial path — never a changed result.  The pool
-    is created once for the whole sweep and the chunks are contiguous
-    in threshold order, so reassembly — rows *and* stats absorption —
-    is deterministic regardless of which worker finished first.
+    the caller down the serial path — never a changed result; each
+    such fallback is recorded as a parallel→serial degradation.  The
+    pool is created once for the whole sweep and the chunks are
+    contiguous in value order, so reassembly — rows *and* stats
+    absorption — is deterministic regardless of which worker finished
+    first.
     """
     import multiprocessing
 
     from ..core.lazyprob import absorb_stats
 
-    global _SWEEP_STATE
+    global _FORK_STATE
     try:
         context = multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms
@@ -526,15 +435,14 @@ def _parallel_rows(
         chunks[pos * workers // len(distinct)].append(pos)
     from concurrent.futures import ProcessPoolExecutor
 
-    saved = _SWEEP_STATE
-    _SWEEP_STATE = (pps, agent, phi, action, tuple(distinct), replacement,
-                    materialize, numeric, make_row)
+    saved = _FORK_STATE
+    _FORK_STATE = (build_row, tuple(distinct))
     try:
         with ProcessPoolExecutor(
             max_workers=workers, mp_context=context
         ) as pool:
             futures = [
-                _submit_with_retry(pool, _sweep_chunk_task, chunk, key=pos)
+                _submit_with_retry(pool, _chunk_task, chunk, key=pos)
                 for pos, chunk in enumerate(chunks)
             ]
             try:
@@ -555,116 +463,7 @@ def _parallel_rows(
         )
         return None
     finally:
-        _SWEEP_STATE = saved
-    computed: Dict[Fraction, Row] = {}
-    for chunk, (rows, delta, events) in zip(chunks, parts):
-        absorb_stats(delta)
-        absorb_events(events)
-        for pos, encoded in zip(chunk, rows):
-            computed[distinct[pos]] = {
-                key: _decode_cell(value) for key, value in encoded.items()
-            }
-    return computed
-
-
-def _reweight_chunk_task(chunk: Sequence[int]):
-    """Worker task: build the reweight rows for one contiguous chunk.
-
-    Returns encoded rows in chunk order plus this task's
-    ``numeric_stats()`` and resilience-report deltas (both are reset on
-    entry — the forked copies of the parent's counters and events must
-    not be re-counted on absorb).
-    """
-    from ..core.faults import report_delta, reset_resilience_report
-    from ..core.lazyprob import numeric_stats, reset_numeric_stats
-
-    state = _REWEIGHT_STATE
-    if state is None:  # pragma: no cover - defensive: task outside a pool
-        raise RuntimeError("reweight sweep worker has no inherited state")
-    pps, transform, measure, distinct, param, materialize, numeric = state
-    reset_numeric_stats()
-    reset_resilience_report()
-    rows = []
-    for pos in chunk:
-        row = _reweight_row(
-            pps,
-            transform,
-            measure,
-            distinct[pos],
-            param=param,
-            materialize=materialize,
-            numeric=numeric,
-        )
-        rows.append({key: _encode_cell(value) for key, value in row.items()})
-    return rows, numeric_stats(), report_delta()
-
-
-def _parallel_reweight_rows(
-    pps: PPS,
-    transform: Callable[..., PPS],
-    measure: Callable[..., Mapping[str, object]],
-    distinct: Sequence[Fraction],
-    *,
-    param: str,
-    materialize: bool,
-    numeric: str,
-    parallel: int,
-) -> Optional[Dict[Fraction, Row]]:
-    """The distinct-value reweight rows via a forked pool, or ``None``.
-
-    ``None`` means "could not run parallel" and sends the caller down
-    the serial path — never a changed result.  Chunks are contiguous in
-    value order and reassembly (rows *and* stats absorption) happens in
-    chunk order, exactly as in :func:`_parallel_rows`.
-    """
-    import multiprocessing
-
-    from ..core.lazyprob import absorb_stats
-
-    global _REWEIGHT_STATE
-    try:
-        context = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        record_degradation(
-            "execution", "parallel", "serial", "no-fork",
-            "fork start method unavailable on this platform",
-        )
-        return None
-    workers = min(parallel, len(distinct))
-    chunks: List[List[int]] = [[] for _ in range(workers)]
-    for pos in range(len(distinct)):
-        chunks[pos * workers // len(distinct)].append(pos)
-    from concurrent.futures import ProcessPoolExecutor
-
-    saved = _REWEIGHT_STATE
-    _REWEIGHT_STATE = (pps, transform, measure, tuple(distinct), param,
-                       materialize, numeric)
-    try:
-        with ProcessPoolExecutor(
-            max_workers=workers, mp_context=context
-        ) as pool:
-            futures = [
-                _submit_with_retry(pool, _reweight_chunk_task, chunk, key=pos)
-                for pos, chunk in enumerate(chunks)
-            ]
-            try:
-                parts = [future.result() for future in futures]
-            except Exception as error:
-                # Same contract as _parallel_rows: any worker failure
-                # degrades to the serial path with identical rows.
-                record_degradation(
-                    "execution", "parallel", "serial", "worker-failed",
-                    repr(error),
-                )
-                return None
-    except (OSError, ValueError) as error:
-        record_degradation(
-            "execution", "parallel", "serial", "pool-or-submit-failed",
-            repr(error),
-        )
-        return None
-    finally:
-        _REWEIGHT_STATE = saved
+        _FORK_STATE = saved
     computed: Dict[Fraction, Row] = {}
     for chunk, (rows, delta, events) in zip(chunks, parts):
         absorb_stats(delta)

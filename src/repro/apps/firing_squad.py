@@ -150,9 +150,7 @@ def build_firing_squad(
     return system.compile()
 
 
-def derive_improved_firing_squad(
-    base: Optional[PPS] = None, *, materialize: bool = False
-) -> PPS:
+def derive_improved_firing_squad(base: Optional[PPS] = None) -> PPS:
     """FS' derived from FS by the Section 8 transform, sharing FS's tree.
 
     The mechanical route to the improved protocol: apply
@@ -163,14 +161,13 @@ def derive_improved_firing_squad(
     engine index is derived from FS's, so building FS' on top of an
     already-analyzed FS is near-free.  It agrees exactly with
     ``build_firing_squad(improved=True)`` on every measure, belief, and
-    achieved probability (tests assert this); pass ``materialize=True``
-    for a standalone deep copy instead.
+    achieved probability (tests assert this); wrap it in
+    :func:`~repro.core.reweight.materialize` for a standalone deep copy.
 
     Args:
         base: an existing FS system to derive from (compiled fresh when
             omitted).  Passing the system you are already analyzing
             shares its index caches with the derived FS'.
-        materialize: forwarded to the transform's escape hatch.
     """
     from ..protocols.strategies import refrain_below_threshold
 
@@ -183,7 +180,6 @@ def derive_improved_firing_squad(
         both_fire(),
         THRESHOLD,
         name=base.name + "-improved",
-        materialize=materialize,
     )
 
 
@@ -198,7 +194,6 @@ def drift_loss(
     *,
     old_loss: ProbabilityLike = "0.1",
     name: Optional[str] = None,
-    materialize: bool = False,
 ) -> PPS:
     """The firing squad with the channel loss probability moved to ``new_loss``.
 
@@ -225,7 +220,6 @@ def drift_loss(
             collapses ``(2,0)``, ``(1,1)`` and ``(0,2)`` onto 1/4 and
             is rejected.
         name: label of the result (default ``"<parent>-loss(<new>)"``).
-        materialize: forwarded to the transform's escape hatch.
 
     Raises:
         ValueError: when ``new_loss`` is outside ``[0, 1]``, when some
@@ -253,7 +247,6 @@ def drift_loss(
         pps,
         overrides,
         name=name or f"{pps.name}-loss({new})",
-        materialize=materialize,
     )
 
 

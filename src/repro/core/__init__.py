@@ -179,7 +179,7 @@ from .pps import (
     ReweightedPPS,
     Run,
 )
-from .reweight import condition_on, reweight_edges
+from .reweight import condition_on, materialize, reweight_edges
 from .theorems import (
     TheoremCheck,
     check_corollary_7_2,

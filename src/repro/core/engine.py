@@ -181,13 +181,12 @@ class SystemIndex:
     }
 
     #: Instance attributes that are bookkeeping, not cached data:
-    #: identity, keying mode, and the derivation machinery itself.
+    #: identity and the derivation machinery itself.
     #: ``DEPENDENCY_CLASS`` and this set together must cover every
     #: attribute the constructor assigns (asserted by the test suite).
     BOOKKEEPING_ATTRS: FrozenSet[str] = frozenset(
         {
             "pps",
-            "structural_keys",
             "_action_free",
             "_derived_parent",
             "_inherit_pack",
@@ -227,13 +226,8 @@ class SystemIndex:
             prefix.append(prefix[-1] + weight)
         return denominator, weights, prefix
 
-    def __init__(self, pps: PPS, *, structural_keys: bool = True) -> None:
+    def __init__(self, pps: PPS) -> None:
         self.pps = pps
-        # When True (the default) the fact memo caches key on
-        # Fact.structural_key(), sharing entries between
-        # equal-but-distinct fact objects; False restores pure identity
-        # keying (used by benchmarks to measure what the sharing buys).
-        self.structural_keys = structural_keys
         runs = pps.runs
         self.run_count = len(runs)
         self.all_mask = (1 << self.run_count) - 1
@@ -302,8 +296,7 @@ class SystemIndex:
         self._performing_at: Dict[Tuple[AgentId, Action], Dict[int, int]] = {}
 
         # --- memo caches keyed by Fact structural key -------------------
-        # (or by identity when structural_keys=False; opaque facts fall
-        # back to identity-shaped keys either way).
+        # (opaque facts fall back to identity-shaped keys).
         self._fact_masks: Dict[object, int] = {}
         self._slice_masks: Dict[Tuple[object, int], int] = {}
         self._belief_cache: Dict[Tuple[AgentId, object, LocalState], Probability] = {}
@@ -341,30 +334,19 @@ class SystemIndex:
     # ------------------------------------------------------------------
 
     @classmethod
-    def of(cls, pps: PPS, *, structural_keys: bool = True) -> "SystemIndex":
+    def of(cls, pps: PPS) -> "SystemIndex":
         """The system's index, built on first use and cached on the pps.
 
-        ``structural_keys`` only takes effect when this call builds the
-        index; an already-attached index is returned as-is.  A
-        :class:`~repro.core.pps.DerivedPPS` never gets a cold build
+        A :class:`~repro.core.pps.DerivedPPS` never gets a cold build
         here: its index is derived from its parent's via
         :meth:`derived`, inheriting every label-independent table.
         """
         index = getattr(pps, "_system_index", None)
         if index is None:
             if isinstance(pps, DerivedPPS):
-                parent_index = cls.of(pps.parent, structural_keys=structural_keys)
-                if parent_index.structural_keys == structural_keys:
-                    index = cls.derived(parent_index, pps)
-                else:
-                    # The parent was already indexed under the other
-                    # keying mode; inheriting its caches would smuggle
-                    # that mode in.  Honor the request with a cold
-                    # build (the generic constructor handles derived
-                    # systems through PPS.edge_action).
-                    index = cls(pps, structural_keys=structural_keys)
+                index = cls.derived(cls.of(pps.parent), pps)
             else:
-                index = cls(pps, structural_keys=structural_keys)
+                index = cls(pps)
             pps._system_index = index  # type: ignore[attr-defined]
         return index
 
@@ -413,7 +395,6 @@ class SystemIndex:
         )
         index = cls.__new__(cls)
         index.pps = pps
-        index.structural_keys = parent.structural_keys
         index.run_count = parent.run_count
         index.all_mask = parent.all_mask
         if reweighted:
@@ -528,8 +509,8 @@ class SystemIndex:
         return filtered
 
     def _fact_key(self, fact: "Fact") -> object:
-        """The memo-cache key of a fact under this index's keying mode."""
-        return fact.structural_key() if self.structural_keys else fact
+        """The memo-cache key of a fact: its structural key."""
+        return fact.structural_key()
 
     def _note_action_free(self, fact: "Fact") -> None:
         """Record that a just-cached fact never inspects action labels.

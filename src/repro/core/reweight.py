@@ -24,11 +24,12 @@ rebuilds only the weight vector, prefix table, and array kernels
   non-satisfying leaf edges are zeroed and satisfying ones
   renormalized, so the result is exactly ``mu(. | fact)``.
 
-Every transform takes ``materialize=True`` as an escape hatch: a
-standalone deep copy with the resolved probabilities and action labels
-baked into fresh nodes, pinned bit-identical (uid order, leaf order,
-``Fraction`` probabilities, every measure) to the derived path — tests
-assert this.
+:func:`materialize` is the one way to bake any system — plain, derived
+or reweighted, however chained — into a standalone deep copy with the
+resolved probabilities and action labels on fresh nodes, pinned
+bit-identical (uid order, leaf order, ``Fraction`` probabilities, every
+measure) to the derived path; tests assert this.  Callers that want a
+standalone system write ``materialize(transform(...))``.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .pps import PPS, Node, ProbabilityOverlay, ReweightedPPS
 
 __all__ = [
     "condition_on",
-    "materialize_reweighted",
+    "materialize",
     "reweight_edges",
     "scale_adversary",
 ]
@@ -63,7 +64,6 @@ def reweight_edges(
     overrides: EdgeOverrides,
     *,
     name: Optional[str] = None,
-    materialize: bool = False,
 ) -> PPS:
     """The system with the named edges' probabilities overridden.
 
@@ -79,23 +79,17 @@ def reweight_edges(
         overrides: ``node -> probability`` mapping or ``(node,
             probability)`` pairs.
         name: label of the result (default ``"<parent>-reweighted"``).
-        materialize: return a standalone deep copy with the new
-            probabilities baked into fresh nodes instead of a
-            tree-sharing :class:`~repro.core.pps.ReweightedPPS`.
 
     Raises:
         ValueError: when the reweighted run space has zero total
             probability (the message names an offending zeroed edge).
         NotStochasticError: when the total is neither zero nor one.
     """
-    derived = ReweightedPPS(
+    return ReweightedPPS(
         pps,
         ProbabilityOverlay(_override_pairs(overrides)),
         name=name,
     )
-    if materialize:
-        return materialize_reweighted(derived, name=derived.name)
-    return derived
 
 
 def scale_adversary(
@@ -104,7 +98,6 @@ def scale_adversary(
     factor: ProbabilityLike,
     *,
     name: Optional[str] = None,
-    materialize: bool = False,
 ) -> PPS:
     """Scale every adversarial branch by ``factor``, renormalizing the rest.
 
@@ -164,14 +157,11 @@ def scale_adversary(
                 q = p * (scale if id(child) in chosen else rescale)
                 if q != p:
                     overrides.append((child, q))
-    derived = ReweightedPPS(
+    return ReweightedPPS(
         pps,
         ProbabilityOverlay(overrides),
         name=name or f"{pps.name}-scaled",
     )
-    if materialize:
-        return materialize_reweighted(derived, name=derived.name)
-    return derived
 
 
 def condition_on(
@@ -179,7 +169,6 @@ def condition_on(
     fact: Fact,
     *,
     name: Optional[str] = None,
-    materialize: bool = False,
 ) -> PPS:
     """The conditional system ``mu(. | fact)`` over the shared tree.
 
@@ -214,27 +203,27 @@ def condition_on(
                 overrides.append((leaf, current / measure))
         elif current != 0:
             overrides.append((leaf, Fraction(0)))
-    derived = ReweightedPPS(
+    return ReweightedPPS(
         pps,
         ProbabilityOverlay(overrides),
         name=name or f"{pps.name}|{fact!r}",
     )
-    if materialize:
-        return materialize_reweighted(derived, name=derived.name)
-    return derived
 
 
-def materialize_reweighted(pps: PPS, *, name: Optional[str] = None) -> PPS:
+def materialize(pps: PPS) -> PPS:
     """A standalone deep copy with resolved probabilities and labels baked in.
 
-    The escape hatch of the reweighting transforms: fresh nodes
-    numbered in depth-first pre-order from 0 (the
-    :func:`~repro.protocols.strategies.copy_tree` contract), each
-    carrying ``pps.edge_probability`` / ``pps.edge_action`` resolved
-    through the whole overlay chain.  Zero-probability edges are kept
-    (dropping them would renumber runs), so the copy is bit-identical
-    to the derived system on every run index, weight, and measure —
-    and is validated only structurally (``validate=False``), since the
+    The single way to turn a derived system (relabelled, refrained,
+    reweighted, conditioned, or any chain of these) into a plain
+    :class:`~repro.core.pps.PPS`: fresh nodes numbered in depth-first
+    pre-order from 0, each carrying ``pps.edge_probability`` /
+    ``pps.edge_action`` resolved through the whole overlay chain.  The
+    walk is iterative, so trees deeper than the interpreter's
+    recursion limit copy fine; on a plain system it is a structural
+    deep copy.  Zero-probability edges are kept (dropping them would
+    renumber runs), so the copy is bit-identical to the derived system
+    on every run index, weight, and measure — and it is not
+    re-validated (``validate=False``), since the
     conditional constructions legitimately carry zero edges and
     node-level sums that the global run-space check in
     :class:`~repro.core.pps.ReweightedPPS` has already vetted.
@@ -266,7 +255,7 @@ def materialize_reweighted(pps: PPS, *, name: Optional[str] = None) -> PPS:
     return PPS(
         pps.agents,
         result,
-        name=name or pps.name,
+        name=pps.name,
         validate=False,
         intern=pps.intern,
     )

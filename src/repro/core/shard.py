@@ -455,6 +455,21 @@ def _picklable_error(error: Optional[Exception]) -> Optional[Exception]:
 _segment_counter = itertools.count()
 
 
+def _unlink_segment(name: str) -> None:
+    """Unlink a segment by name without attaching to it; absent is fine.
+
+    Attaching is not an option for debris: a worker killed between
+    ``shm_open`` and ``ftruncate`` leaves a 0-byte segment, and
+    attaching to that raises ``ValueError`` (nothing to mmap).
+    """
+    import _posixshmem
+
+    try:
+        _posixshmem.shm_unlink("/" + name)
+    except FileNotFoundError:
+        pass
+
+
 def _create_segment(shared_memory, name: Optional[str], size: int):
     """Create a segment, replacing a stale leftover of the same name.
 
@@ -467,9 +482,7 @@ def _create_segment(shared_memory, name: Optional[str], size: int):
     try:
         return shared_memory.SharedMemory(name=name, create=True, size=size)
     except FileExistsError:
-        stale = shared_memory.SharedMemory(name=name)
-        stale.close()
-        stale.unlink()
+        _unlink_segment(name)
         return shared_memory.SharedMemory(name=name, create=True, size=size)
 
 
@@ -735,23 +748,11 @@ class ShardedExecutor:
         """
         if not names:
             return
-        try:
-            from multiprocessing import shared_memory
-        except ImportError:  # pragma: no cover - minimal builds
-            return
         for name in names:
             try:
-                segment = shared_memory.SharedMemory(name=name)
-            except FileNotFoundError:
-                self._live_segments.discard(name)
+                _unlink_segment(name)
+            except (ImportError, OSError):  # pragma: no cover - no POSIX shm
                 continue
-            except OSError:  # pragma: no cover - platform-specific attach errors
-                continue
-            segment.close()
-            try:
-                segment.unlink()
-            except FileNotFoundError:  # pragma: no cover - reaped concurrently
-                pass
             self._live_segments.discard(name)
 
     def _next_segment_name(self) -> str:
@@ -893,6 +894,7 @@ class ShardedExecutor:
         segment belonging to a failed task is reaped after the kill,
         so no ``/dev/shm`` residue survives a crashed query.
         """
+        from concurrent.futures import Future
         from concurrent.futures import TimeoutError as FuturesTimeout
         from concurrent.futures.process import BrokenProcessPool
 
@@ -912,9 +914,16 @@ class ShardedExecutor:
                 name = self._next_segment_name()
                 names[shard] = name
                 self._live_segments.add(name)
-                futures[shard] = pool.submit(
-                    _scan_shard_task, shard, refs, t, attempts[shard], name
-                )
+                try:
+                    futures[shard] = pool.submit(
+                        _scan_shard_task, shard, refs, t, attempts[shard], name
+                    )
+                except BrokenProcessPool as error:
+                    # A worker died before every shard was submitted:
+                    # this shard fails like any task of the broken pool.
+                    broken: Future = Future()
+                    broken.set_exception(error)
+                    futures[shard] = broken
             failed: List[Tuple[int, BaseException]] = []
             pool_broken = False
             pool_error: Optional[BaseException] = None

@@ -28,7 +28,7 @@ from .protocol import (
     as_protocol,
     coerce_distribution,
 )
-from .strategies import copy_tree, refrain_below_threshold, relabel_actions
+from .strategies import refrain_below_threshold, relabel_actions
 
 __all__ = [
     "Adversary",
@@ -47,7 +47,6 @@ __all__ = [
     "coerce_distribution",
     "compile_system",
     "compile_under_adversaries",
-    "copy_tree",
     "drift_under_adversaries",
     "enumerate_adversaries",
     "scale_adversary",

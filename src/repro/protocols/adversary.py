@@ -123,8 +123,6 @@ def drift_under_adversaries(
     compiled: Mapping[Adversary, PPS],
     select: Callable[[Adversary, Node], bool],
     factor: ProbabilityLike,
-    *,
-    materialize: bool = False,
 ) -> Dict[Adversary, PPS]:
     """Scale the adversarial branches of every system in a compiled family.
 
@@ -143,8 +141,6 @@ def drift_under_adversaries(
             the system was compiled under and the node the edge leads
             into.
         factor: the common scale applied to every selected edge.
-        materialize: bake each drifted system into a standalone copy
-            instead of a tree-sharing derived child.
     """
     return {
         adversary: scale_adversary(
@@ -152,7 +148,6 @@ def drift_under_adversaries(
             lambda node, _adv=adversary: select(_adv, node),
             factor,
             name=f"{pps.name}-drift({factor})",
-            materialize=materialize,
         )
         for adversary, pps in compiled.items()
     }

@@ -16,7 +16,7 @@ Derived systems
 ---------------
 Relabelling edges preserves states, probabilities, tree shape, and
 therefore every belief/knowledge quantity that does not mention
-actions.  The transforms exploit this: by default they return a
+actions.  The transforms exploit this: they return a
 :class:`~repro.core.pps.DerivedPPS` — an
 :class:`~repro.core.pps.ActionOverlay` of per-edge overrides over the
 *shared* parent tree, node identity preserved — whose engine index is
@@ -26,12 +26,11 @@ sweeps and optimality ablations thereby pay O(overridden edges) per
 row instead of a full copy + validate + index rebuild; see
 ``docs/transforms.md``.
 
-Pass ``materialize=True`` to get the historic behaviour instead: a
-standalone deep copy with fresh node identities, bit-identical (uid
+To get a standalone deep copy with fresh node identities instead, bake
+the result with :func:`repro.core.reweight.materialize`:
+``materialize(refrain_below_threshold(...))`` is bit-identical (uid
 sequence, leaf order, ``Fraction`` probabilities) to what the
-pre-derived-layer implementation produced.  :func:`copy_tree` is that
-structural copy, exposed because it is independently useful (e.g. for
-building modified systems in tests).
+pre-derived-layer deep-copy implementation produced.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ from ..core.numeric import ProbabilityLike, as_fraction
 from ..core.pps import PPS, Action, ActionOverlay, AgentId, DerivedPPS, Node
 
 __all__ = [
-    "copy_tree",
     "relabel_actions",
     "refrain_candidates",
     "refrain_below_threshold",
@@ -90,47 +88,11 @@ def refrain_candidates(
     return candidates
 
 
-def copy_tree(root: Node) -> Node:
-    """A structural deep copy of a tree with fresh node identities.
-
-    Nodes are numbered in depth-first pre-order starting from 0 (the
-    historic ``copy_tree`` contract).  The walk is iterative, so trees
-    deeper than the interpreter's recursion limit — reachable since the
-    compiler scale-up — copy fine.
-    """
-    counter = 0
-    result: Optional[Node] = None
-    stack: List[Tuple[Node, Optional[Node]]] = [(root, None)]
-    while stack:
-        node, parent = stack.pop()
-        copy = Node(
-            uid=counter,
-            depth=node.depth,
-            state=node.state,
-            prob_from_parent=node.prob_from_parent,
-            via_action=dict(node.via_action) if node.via_action is not None else None,
-            parent=parent,
-        )
-        counter += 1
-        if parent is None:
-            result = copy
-        else:
-            parent.children.append(copy)
-        # Reversed push: children are copied (and numbered) first-child
-        # first, exactly matching the recursive pre-order numbering.
-        stack.extend((child, copy) for child in reversed(node.children))
-    # repro: allow[RP006] internal invariant: the stack starts non-empty
-    # so the root copy is always produced (type-narrowing).
-    assert result is not None
-    return result
-
-
 def relabel_actions(
     pps: PPS,
     relabel: Callable[[Node, Dict[AgentId, Action]], Dict[AgentId, Action]],
     *,
     name: Optional[str] = None,
-    materialize: bool = False,
 ) -> PPS:
     """A system equal to ``pps`` with edge action labels rewritten.
 
@@ -141,44 +103,16 @@ def relabel_actions(
             order** over the tree (root's children first, then depth 2,
             and so on — siblings in child order), with the node the
             edge leads into and a mutable copy of the edge's joint
-            action; returns the new joint action for that edge.  In the
-            default derived mode the node is the *shared* parent node
-            and must not be mutated; with ``materialize=True`` it is
-            the freshly copied node (the historic contract).
+            action; returns the new joint action for that edge.  The
+            node is the *shared* parent node and must not be mutated.
         name: name of the resulting system.
-        materialize: when ``True``, deep-copy the tree
-            (:func:`copy_tree`) and return a standalone :class:`PPS`,
-            bit-identical to the historic implementation's output.  By
-            default the result is a :class:`~repro.core.pps.DerivedPPS`
-            recording only the edges the callback actually changed.
 
-    Only labels change: states, probabilities and tree shape are
-    preserved, so the transform models the same stochastic process with
-    re-described behaviour.
+    The result is a :class:`~repro.core.pps.DerivedPPS` recording only
+    the edges the callback actually changed.  Only labels change:
+    states, probabilities and tree shape are preserved, so the
+    transform models the same stochastic process with re-described
+    behaviour.
     """
-    if materialize:
-        root = copy_tree(pps.root)
-        if isinstance(pps, DerivedPPS):
-            # Bake the source's overlay into the copy: the copy starts
-            # from ``node.via_action`` (the base labels), but the
-            # system being materialized is the *resolved* one.
-            pairs: List[Tuple[Node, Node]] = [(pps.root, root)]
-            while pairs:
-                source, target = pairs.pop()
-                via = pps.edge_action(source)
-                # repro: allow[RP003] construction phase: the target is
-                # a fresh private copy not yet published to any index.
-                target.via_action = dict(via) if via is not None else None
-                pairs.extend(zip(source.children, target.children))
-        queue = deque([root])
-        while queue:
-            node = queue.popleft()
-            if node.via_action is not None:
-                # repro: allow[RP003] construction phase: relabelling a
-                # fresh private copy before the PPS is published.
-                node.via_action = relabel(node, dict(node.via_action))
-            queue.extend(node.children)
-        return PPS(pps.agents, root, name=name or f"{pps.name}-relabelled")
     overrides: List[Tuple[Node, Dict[AgentId, Action]]] = []
     queue = deque([pps.root])
     while queue:
@@ -203,7 +137,6 @@ def refrain_below_threshold(
     *,
     replacement: Action = "skip",
     name: Optional[str] = None,
-    materialize: bool = False,
     numeric: str = "exact",
 ) -> PPS:
     """Suppress performances of ``action`` at low-belief local states.
@@ -214,10 +147,10 @@ def refrain_below_threshold(
     to ``replacement``.  The result is a system for the modified
     protocol "act only when sufficiently confident".
 
-    By default the result is a :class:`~repro.core.pps.DerivedPPS`
-    sharing ``pps``'s tree and engine index (see
-    :func:`relabel_actions`); ``materialize=True`` reproduces the
-    historic deep-copy output bit-identically.
+    The result is a :class:`~repro.core.pps.DerivedPPS` sharing
+    ``pps``'s tree and engine index (see :func:`relabel_actions`);
+    :func:`repro.core.reweight.materialize` bakes it into the historic
+    deep-copy output bit-identically.
 
     Note that the modified agent uses the same information it had in
     the original protocol; since beliefs are a function of the local
@@ -251,22 +184,11 @@ def refrain_below_threshold(
             )
         return belief_cache[local]
 
-    result_name = name or f"{pps.name}-refrain[{action}]"
     overrides = [
         (node, {**via, agent: replacement})
         for node, via, local in refrain_candidates(pps, agent, action)
         if replacement != action and low_belief(local)
     ]
-    derived = DerivedPPS(pps, ActionOverlay(overrides), name=result_name)
-    if not materialize:
-        return derived
-    # The materialized output is the derived system baked into a
-    # standalone deep copy (relabel_actions' materialize branch resolves
-    # the overlay into the copied nodes), so both escape-hatch and
-    # default path share refrain_candidates' guard semantics — and the
-    # copy numbering matches the historic deep-copy-then-relabel
-    # implementation bit for bit (asserted against a legacy oracle in
-    # tests and bench_transform_sweep).
-    return relabel_actions(
-        derived, lambda node, via: via, name=result_name, materialize=True
+    return DerivedPPS(
+        pps, ActionOverlay(overrides), name=name or f"{pps.name}-refrain[{action}]"
     )

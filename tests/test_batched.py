@@ -251,16 +251,3 @@ class TestStructuralSharing:
         verification = verify_system(pps, {"c": at_action(TRUE, "i", "go")})
         assert verification.results == {}
         assert verification.all_verified
-
-    def test_identity_keyed_index_does_not_share(self):
-        # structural_keys=False restores the pre-batching behavior:
-        # equal-but-distinct facts get separate entries.
-        system = random_protocol_system(10)
-        index = SystemIndex.of(system, structural_keys=False)
-        assert not index.structural_keys
-        agent = system.agents[0]
-        action = proper_actions_of(system, agent)[0]
-        first = index.runs_satisfying_mask(performed(agent, action))
-        cached_entries = len(index._fact_masks)
-        assert index.runs_satisfying_mask(performed(agent, action)) == first
-        assert len(index._fact_masks) == cached_entries + 1

@@ -17,19 +17,29 @@ Three layers under test (see ``docs/robustness.md``):
 from __future__ import annotations
 
 import glob
+import itertools
 import os
 from fractions import Fraction
 
 import pytest
 
 import repro.core.faults as faults_module
+import repro.core.shard as shard_module
+from repro import achieved_probability
 from repro.analysis.random_systems import (
     proper_actions_of,
     random_protocol_system,
     random_run_fact,
     random_state_fact,
 )
-from repro.analysis.sweep import refrain_threshold_sweep
+from repro.analysis.sweep import refrain_threshold_sweep, reweight_sweep
+from repro.apps.firing_squad import (
+    ALICE,
+    FIRE,
+    both_fire,
+    build_firing_squad,
+    drift_loss,
+)
 from repro.core import arraykernel
 from repro.core.arraykernel import WeightKernel
 from repro.core.engine import SystemIndex
@@ -322,6 +332,29 @@ class TestSupervisedExecutor:
         assert "shard 0" in exhausted[0].detail
         assert _no_repro_segments()
 
+    def test_pool_breaking_mid_submission_is_retried(self, monkeypatch):
+        # A worker can die while later shards are still being
+        # submitted; submit() then raises instead of returning a future.
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        real_submit = ProcessPoolExecutor.submit
+        calls = itertools.count()
+
+        def submit(self, fn, /, *args, **kwargs):
+            if next(calls) == 1:
+                raise BrokenProcessPool("worker died during submission")
+            return real_submit(self, fn, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", submit)
+        masks, reference, report = _run_supervised(None)
+        assert masks == reference
+        assert any(
+            retry.site == "shard" and "BrokenProcessPool" in retry.error
+            for retry in report.retries
+        )
+        assert _no_repro_segments()
+
     def test_no_segment_survives_abandoned_executor(self):
         if not os.path.isdir("/dev/shm"):
             pytest.skip("no /dev/shm on this platform")
@@ -361,29 +394,94 @@ def test_backend_import_fault_degrades_to_python():
         arraykernel.set_backend(previous_backend)
 
 
-def test_sweep_task_submit_fault_is_retried_transparently():
-    def case():
-        pps = random_protocol_system(23, mixed_level=0.5)
-        agent = pps.agents[0]
-        action = proper_actions_of(pps, agent)[0]
-        phi = eventually(random_state_fact(63))
-        thresholds = [Fraction(k, 6) for k in range(7)]
-        return pps, agent, phi, action, thresholds
+def _refrain_sweep(parallel):
+    pps = random_protocol_system(23, mixed_level=0.5)
+    agent = pps.agents[0]
+    action = proper_actions_of(pps, agent)[0]
+    phi = eventually(random_state_fact(63))
+    thresholds = [Fraction(k, 6) for k in range(7)]
+    return refrain_threshold_sweep(
+        pps, agent, phi, action, thresholds, parallel=parallel
+    )
 
-    pps, agent, phi, action, thresholds = case()
-    serial = refrain_threshold_sweep(pps, agent, phi, action, thresholds)
+
+def _drift_measure(system, numeric):
+    return {
+        "achieved": achieved_probability(
+            system, ALICE, both_fire(), FIRE, numeric=numeric
+        )
+    }
+
+
+def _reweight_sweep(parallel):
+    return reweight_sweep(
+        build_firing_squad(),
+        drift_loss,
+        ["0.05", "0.1", "0.2", "0.3"],
+        _drift_measure,
+        param="loss",
+        parallel=parallel,
+    )
+
+
+def _assert_submit_fault_retried(run_sweep):
+    """Both sweeps share one fork path; each must retry a failed submit."""
+    serial = run_sweep(None)
     previous = set_fault_plan(FaultPlan.parse("task-submit:1"))
     try:
-        pps2, agent, phi, action, thresholds = case()
-        injected = refrain_threshold_sweep(
-            pps2, agent, phi, action, thresholds, parallel=2
-        )
+        injected = run_sweep(2)
         report = resilience_report()
     finally:
         set_fault_plan(previous)
     assert any(retry.site == "submit" for retry in report.retries)
-    assert len(injected) == len(serial)
-    for a, b in zip(serial, injected):
-        assert a["threshold"] == b["threshold"]
-        for column in ("achieved", "coverage"):
-            assert exact_value(a[column]) == exact_value(b[column])
+    assert report.degradations("execution") == []  # retried, not serial
+    assert [
+        {column: exact_value(cell) for column, cell in row.items()}
+        for row in injected
+    ] == serial
+
+
+def test_sweep_task_submit_fault_is_retried_transparently():
+    _assert_submit_fault_retried(_refrain_sweep)
+
+
+def test_reweight_sweep_task_submit_fault_is_retried_transparently():
+    _assert_submit_fault_retried(_reweight_sweep)
+
+
+# ----------------------------------------------------------------------
+# Shared-memory debris: a worker killed between shm_open and ftruncate
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("spec", [None, "worker-crash@0"], ids=["create", "reap"])
+def test_zero_byte_segment_under_next_name_is_unlinked(spec, monkeypatch):
+    """A 0-byte segment cannot be attached to, only unlinked by name.
+
+    The segment is planted under the name the executor hands shard 0
+    next.  Without a fault the worker's create path meets it; with
+    shard 0 crashing, the parent's reaper does.
+    """
+    if not os.path.isdir("/dev/shm"):
+        pytest.skip("no /dev/shm on this platform")
+    import _posixshmem
+
+    start = next(shard_module._segment_counter)
+    monkeypatch.setattr(shard_module, "_segment_counter", itertools.count(start))
+    name = f"/repro_{os.getpid()}_{start}"
+    os.close(
+        _posixshmem.shm_open(name, os.O_CREAT | os.O_EXCL | os.O_RDWR, mode=0o600)
+    )
+    assert os.path.getsize("/dev/shm" + name) == 0
+    facts, reference = _case(5)
+    previous = set_fault_plan(FaultPlan.parse(spec) if spec else None)
+    try:
+        index = SystemIndex.of(random_protocol_system(5, mixed_level=0.5))
+        executor = ShardedExecutor(index, shards=3, payload=tuple(facts))
+        try:
+            assert executor.events_of(facts) == reference
+        finally:
+            executor.close()
+    finally:
+        set_fault_plan(previous)
+    assert _no_repro_segments()

@@ -58,7 +58,7 @@ from repro.core.numeric import as_fraction
 from repro.core.pps import DerivedPPS, Node, ProbabilityOverlay, ReweightedPPS
 from repro.core.reweight import (
     condition_on,
-    materialize_reweighted,
+    materialize,
     reweight_edges,
     scale_adversary,
 )
@@ -101,7 +101,7 @@ def _assert_reweight_parity(parent, derived, agent, action, phi):
     """The reweighted child and its materialized rebuild agree everywhere."""
     assert isinstance(derived, ReweightedPPS)
     assert derived.root is parent.root  # node identity preserved
-    materialized = materialize_reweighted(derived)
+    materialized = materialize(derived)
 
     # Run space: same indices, same exact probabilities, measure intact.
     assert len(derived.runs) == len(parent.runs) == len(materialized.runs)
@@ -269,7 +269,7 @@ class TestWeightSplitInheritance:
         # refills with the *drifted* values.
         assert child._belief_cache == {}
         assert belief(drifted, ALICE, phi, local) == belief(
-            materialize_reweighted(drifted), ALICE, phi, local
+            materialize(drifted), ALICE, phi, local
         )
 
     def test_dependency_tables_cover_every_index_attribute(self, firing_squad):
@@ -336,7 +336,7 @@ class TestOverlayChaining:
             performing_runs(relabel_then_reweight, ALICE, "launch"),
         )
         assert left == right
-        baked = materialize_reweighted(reweight_then_relabel)
+        baked = materialize(reweight_then_relabel)
         assert probability(
             baked, performing_runs(baked, ALICE, "launch")
         ) == left
@@ -374,7 +374,7 @@ class TestZeroWeightEdges:
         assert len(removed.runs) == len(firing_squad.runs)
         assert any(r.prob == 0 for r in removed.runs)
         assert sum((r.prob for r in removed.runs), start=Fraction(0)) == 1
-        materialized = materialize_reweighted(removed)
+        materialized = materialize(removed)
         assert [r.prob for r in materialized.runs] == [
             r.prob for r in removed.runs
         ]
@@ -495,7 +495,7 @@ class TestDriftLoss:
         assert achieved_probability(drifted, ALICE, phi, FIRE) == Fraction(24, 25)
         for left, right in (
             (drifted, cold),
-            (materialize_reweighted(drifted), cold),
+            (materialize(drifted), cold),
         ):
             assert achieved_probability(left, ALICE, phi, FIRE) == (
                 achieved_probability(right, ALICE, phi, FIRE)
@@ -575,11 +575,10 @@ class TestReweightSweep:
         )
         materialized = reweight_sweep(
             firing_squad,
-            drift_loss,
+            lambda p, v: materialize(drift_loss(p, v)),
             values,
             self._measure,
             param="loss",
-            materialize=True,
         )
         assert serial == parallel == materialized
         assert [row["loss"] for row in serial] == [
@@ -636,7 +635,7 @@ class TestReweightedParityGrid:
             REWEIGHTED_FACTORIES,
             DEFAULT_CONFIGS,
             reference_fn=lambda system: _lemma_query(
-                materialize_reweighted(system)
+                materialize(system)
             ),
         )
 
@@ -653,6 +652,6 @@ class TestReweightedParityGrid:
             ],
             DEFAULT_CONFIGS,
             reference_fn=lambda system: _achieved_query(
-                materialize_reweighted(system)
+                materialize(system)
             ),
         )

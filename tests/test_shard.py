@@ -452,7 +452,7 @@ class TestParallelSweep:
         def explode(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError("parallel path taken for parallel<=1")
 
-        monkeypatch.setattr(sweep_module, "_parallel_rows", explode)
+        monkeypatch.setattr(sweep_module, "_forked_rows", explode)
         pps, agent, phi, action, thresholds = _sweep_case(23)
         rows = refrain_threshold_sweep(pps, agent, phi, action, thresholds)
         assert len(rows) == len(thresholds)

@@ -3,27 +3,26 @@
 from fractions import Fraction
 
 from repro import achieved_probability, performing_runs
-from repro.protocols import copy_tree, refrain_below_threshold, relabel_actions
-from repro.core.pps import PPS
+from repro.protocols import refrain_below_threshold, relabel_actions
+from repro.core.reweight import materialize
 from repro.apps.firing_squad import ALICE, FIRE, both_fire
 
 
 class TestCopyTree:
     def test_structure_preserved(self, firing_squad):
-        copy = copy_tree(firing_squad.root)
-        clone = PPS(firing_squad.agents, copy, name="clone")
+        clone = materialize(firing_squad)
         assert clone.run_count() == firing_squad.run_count()
         assert sorted(r.prob for r in clone.runs) == sorted(
             r.prob for r in firing_squad.runs
         )
 
     def test_nodes_are_fresh_objects(self, firing_squad):
-        copy = copy_tree(firing_squad.root)
+        copy = materialize(firing_squad).root
         assert copy is not firing_squad.root
         assert copy.children[0] is not firing_squad.root.children[0]
 
     def test_mutating_copy_leaves_original_alone(self, firing_squad):
-        copy = copy_tree(firing_squad.root)
+        copy = materialize(firing_squad).root
         original_action = dict(firing_squad.root.children[0].children[0].via_action)
         copy.children[0].children[0].via_action = {"alice": "tampered"}
         assert (

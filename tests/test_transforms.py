@@ -2,13 +2,14 @@
 
 Covers the PR 4 tentpole and satellites:
 
-* ``copy_tree`` is iterative (deep trees can't hit ``RecursionError``)
-  and keeps the historic pre-order uid contract;
+* ``materialize`` is iterative (deep trees can't hit
+  ``RecursionError``) and keeps the historic pre-order uid contract;
 * ``relabel_actions`` visits edges in deterministic BFS order;
 * ``refrain_below_threshold`` raises ``ValueError`` (not a bare
   assert) when a matching performance sits on a root edge;
-* ``materialize=True`` reproduces the legacy deep-copy path
-  bit-identically (uid sequence, leaf order, probabilities);
+* ``materialize(refrain_below_threshold(...))`` reproduces the legacy
+  deep-copy path bit-identically (uid sequence, leaf order,
+  probabilities);
 * derived-vs-materialized Fraction-exact parity of measures, beliefs,
   achieved probabilities, and theorem verdicts on ≥18 random protocol
   systems plus the FS and judge apps;
@@ -65,7 +66,8 @@ from repro.core.pps import (
     Node,
     OverlayRun,
 )
-from repro.protocols import copy_tree, refrain_below_threshold, relabel_actions
+from repro.core.reweight import materialize
+from repro.protocols import refrain_below_threshold, relabel_actions
 
 
 # ----------------------------------------------------------------------
@@ -135,14 +137,14 @@ def _chain(depth: int) -> Node:
 
 
 # ----------------------------------------------------------------------
-# Satellite: iterative copy_tree
+# Satellite: iterative materialize
 # ----------------------------------------------------------------------
 
 
 class TestIterativeCopyTree:
     def test_deep_chain_beyond_recursion_limit(self):
         depth = sys.getrecursionlimit() + 500
-        copy = copy_tree(_chain(depth))
+        copy = materialize(PPS(["a"], _chain(depth), validate=False)).root
         count = 0
         node: Optional[Node] = copy
         while node is not None:
@@ -152,7 +154,7 @@ class TestIterativeCopyTree:
         assert count == depth + 1
 
     def test_matches_legacy_recursive_numbering(self, firing_squad):
-        copy = PPS(firing_squad.agents, copy_tree(firing_squad.root), name="it")
+        copy = materialize(firing_squad)
         legacy = PPS(
             firing_squad.agents, _legacy_copy_tree(firing_squad.root), name="rec"
         )
@@ -188,15 +190,26 @@ class TestRelabelVisitOrder:
         assert [d for d, _ in visited] == sorted(d for d, _ in visited)
 
     def test_materialized_path_visits_in_bfs_order(self, firing_squad):
-        depths = []
+        # Tag every edge with its visit number; the baked copy must
+        # carry the tags in breadth-first order.
+        visits = []
 
-        def record(node, via):
-            depths.append(node.depth)
-            return via
+        def tag(node, via):
+            visits.append(node.depth)
+            return {agent: f"v{len(visits)}" for agent in via}
 
-        relabel_actions(firing_squad, record, materialize=True)
-        assert depths == sorted(depths)
-        assert len(depths) == len(self._expected_bfs_uids(firing_squad))
+        baked = materialize(relabel_actions(firing_squad, tag))
+        assert isinstance(baked, PPS) and not isinstance(baked, DerivedPPS)
+        tags = []
+        queue = deque([baked.root])
+        while queue:
+            node = queue.popleft()
+            if node.via_action is not None:
+                tags.append(set(node.via_action.values()))
+            queue.extend(node.children)
+        assert tags == [{f"v{k}"} for k in range(1, len(visits) + 1)]
+        assert visits == sorted(visits)
+        assert len(visits) == len(self._expected_bfs_uids(firing_squad))
 
 
 # ----------------------------------------------------------------------
@@ -221,9 +234,7 @@ class TestRootEdgeFailsLoudly:
         with pytest.raises(ValueError, match="leaves the root"):
             refrain_below_threshold(pps, "a", "go", TRUE, "1/2")
         with pytest.raises(ValueError, match="node 1"):
-            refrain_below_threshold(
-                pps, "a", "go", TRUE, "1/2", materialize=True
-            )
+            materialize(refrain_below_threshold(pps, "a", "go", TRUE, "1/2"))
 
     def test_non_matching_root_edge_is_left_alone(self):
         root = Node(uid=0, depth=0, state=None)
@@ -249,8 +260,8 @@ class TestMaterializeBitIdentity:
     def test_firing_squad(self, firing_squad):
         phi = both_fire()
         legacy = _legacy_refrain(firing_squad, ALICE, FIRE, phi, THRESHOLD)
-        hatch = refrain_below_threshold(
-            firing_squad, ALICE, FIRE, phi, THRESHOLD, materialize=True
+        hatch = materialize(
+            refrain_below_threshold(firing_squad, ALICE, FIRE, phi, THRESHOLD)
         )
         assert tree_signature(hatch) == tree_signature(legacy)
         assert [r.prob for r in hatch.runs] == [r.prob for r in legacy.runs]
@@ -263,9 +274,7 @@ class TestMaterializeBitIdentity:
         action = actions[seed % len(actions)]
         phi = random_state_fact(seed)
         legacy = _legacy_refrain(pps, agent, action, phi, "1/2")
-        hatch = refrain_below_threshold(
-            pps, agent, action, phi, "1/2", materialize=True
-        )
+        hatch = materialize(refrain_below_threshold(pps, agent, action, phi, "1/2"))
         assert tree_signature(hatch) == tree_signature(legacy)
 
     def test_materializing_a_derived_system_bakes_the_overlay(
@@ -274,9 +283,8 @@ class TestMaterializeBitIdentity:
         derived = refrain_below_threshold(
             firing_squad, ALICE, FIRE, both_fire(), THRESHOLD
         )
-        # Identity relabel of the derived system, materialized: the
-        # standalone copy must carry the overlay's labels.
-        baked = relabel_actions(derived, lambda node, via: via, materialize=True)
+        # The standalone copy must carry the overlay's labels.
+        baked = materialize(derived)
         assert isinstance(baked, PPS) and not isinstance(baked, DerivedPPS)
         assert achieved_probability(baked, ALICE, both_fire(), FIRE) == Fraction(
             990, 991
@@ -291,8 +299,8 @@ class TestMaterializeBitIdentity:
 def _assert_transform_parity(pps: PPS, agent, action, phi, threshold):
     """Derived and materialized transforms agree on every quantity."""
     derived = refrain_below_threshold(pps, agent, action, phi, threshold)
-    materialized = refrain_below_threshold(
-        pps, agent, action, phi, threshold, materialize=True
+    materialized = materialize(
+        refrain_below_threshold(pps, agent, action, phi, threshold)
     )
     assert isinstance(derived, DerivedPPS)
     assert derived.root is pps.root  # node identity preserved
@@ -489,7 +497,7 @@ class TestDerivedIndexInheritance:
         assert performing_runs(second, ALICE, "launch")
         assert not performing_runs(second, ALICE, FIRE)
         # Quantities agree with materializing the whole chain.
-        baked = relabel_actions(first, rename, materialize=True)
+        baked = materialize(relabel_actions(first, rename))
         assert probability(
             second, performing_runs(second, ALICE, "launch")
         ) == probability(baked, performing_runs(baked, ALICE, "launch"))
@@ -510,22 +518,6 @@ class TestDerivedIndexInheritance:
                 firing_squad,
                 ActionOverlay([(foreign, dict(foreign.via_action))]),
             )
-
-    def test_identity_keyed_request_gets_identity_keyed_index(self):
-        # structural_keys=False must be honored even when the parent is
-        # already indexed under structural keys (the bench baseline
-        # pattern); the derived fast path would smuggle the parent's
-        # mode in, so a cold build serves the request instead.
-        base = build_firing_squad()
-        assert SystemIndex.of(base).structural_keys is True
-        derived = refrain_below_threshold(
-            base, ALICE, FIRE, both_fire(), THRESHOLD
-        )
-        index = SystemIndex.of(derived, structural_keys=False)
-        assert index.structural_keys is False
-        assert achieved_probability(derived, ALICE, both_fire(), FIRE) == (
-            Fraction(990, 991)
-        )
 
     def test_derive_scales_with_overrides_not_records(self, firing_squad):
         # Overriding every fire edge at once must still strip cleanly
@@ -564,7 +556,7 @@ class TestDeriveImprovedFiringSquad:
         ) == probability(direct, performing_runs(direct, ALICE, FIRE))
 
     def test_materialize_escape_hatch(self):
-        standalone = derive_improved_firing_squad(materialize=True)
+        standalone = materialize(derive_improved_firing_squad())
         assert isinstance(standalone, PPS)
         assert not isinstance(standalone, DerivedPPS)
         assert achieved_probability(

@@ -226,7 +226,13 @@ def random_state_fact(seed: int, *, density: float = 0.5) -> Fact:
     def predicate(state: GlobalState) -> bool:
         return _derived_rng(seed, "SF", state.env, state.locals).random() < density
 
-    return state_fact(predicate, label=f"random-state-fact({seed})")
+    # The predicate draws from repr(seed), so the key does too (1 and
+    # 1.0 are equal keys but different streams).
+    return state_fact(
+        predicate,
+        label=f"random-state-fact({seed})",
+        key=("random_state_fact", repr(seed), density),
+    )
 
 
 def random_run_fact(seed: int, *, density: float = 0.5) -> Fact:
@@ -243,7 +249,11 @@ def random_run_fact(seed: int, *, density: float = 0.5) -> Fact:
         )
         return _derived_rng(seed, "RF", shape).random() < density
 
-    return LambdaRunFact(predicate, label=f"random-run-fact({seed})")
+    return LambdaRunFact(
+        predicate,
+        label=f"random-run-fact({seed})",
+        key=("random_run_fact", repr(seed), density),
+    )
 
 
 def proper_actions_of(pps: PPS, agent: AgentId) -> List[Action]:

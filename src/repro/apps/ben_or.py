@@ -22,14 +22,21 @@ This is exactly the qualitative content of [9], measured.
 Decisions are performed at most once per run, so ``("decide", v)`` is a
 proper action and the full PAK machinery applies to constraints such as
 ``mu(peer decides v too @ decide(v) | decide(v))``.
+
+The run facts :func:`agreement_among_deciders` and :func:`both_decide`
+are written in the fact language over ``performed`` atoms, so the
+engine evaluates them as mask algebra and rebuilt copies share cache
+entries (``docs/engine.md``, "Facts the engine can see").  They follow
+:func:`decided_value`'s 0-first rule exactly, including for runs where
+an agent performs both decide actions.
 """
 
 from __future__ import annotations
 
 from typing import Tuple
 
-from ..core.atoms import does_
-from ..core.facts import Fact, LambdaRunFact
+from ..core.atoms import does_, performed
+from ..core.facts import And, Fact, Not, Or
 from ..core.numeric import ProbabilityLike, as_fraction
 from ..core.pps import PPS, AgentId, Run
 from ..messaging.channels import LossyChannel
@@ -45,6 +52,7 @@ __all__ = [
     "build_ben_or",
     "decides",
     "decided_value",
+    "decided",
     "agreement_among_deciders",
     "both_decide",
 ]
@@ -151,26 +159,35 @@ def decided_value(pps: PPS, run: Run, agent: AgentId):
     return None
 
 
+def decided(agent: AgentId, value: int) -> Fact:
+    """The run fact "``decided_value`` of ``agent`` is ``value``".
+
+    Mirrors :func:`decided_value`'s 0-first rule: deciding 1 counts
+    only in a run where the agent never decides 0.
+    """
+    zero = performed(agent, decide_action(0))
+    if value == 0:
+        return zero
+    return And(performed(agent, decide_action(value)), Not(zero))
+
+
 def agreement_among_deciders() -> Fact:
     """The run fact "no two agents decide different values"."""
-
-    def check(pps: PPS, run: Run) -> bool:
-        values = {
-            decided_value(pps, run, agent)
-            for agent in (AGENT_A, AGENT_B)
-        } - {None}
-        return len(values) <= 1
-
-    return LambdaRunFact(check, label="agreement-among-deciders")
+    return Not(
+        Or(
+            And(decided(AGENT_A, 0), decided(AGENT_B, 1)),
+            And(decided(AGENT_A, 1), decided(AGENT_B, 0)),
+        ),
+        label="agreement-among-deciders",
+    )
 
 
 def both_decide() -> Fact:
     """The run fact "both agents decide (some value) in the run"."""
-
-    def check(pps: PPS, run: Run) -> bool:
-        return all(
-            decided_value(pps, run, agent) is not None
+    return And(
+        *(
+            Or(performed(agent, decide_action(0)), performed(agent, decide_action(1)))
             for agent in (AGENT_A, AGENT_B)
-        )
-
-    return LambdaRunFact(check, label="both-decide")
+        ),
+        label="both-decide",
+    )

@@ -19,16 +19,23 @@ trivially true, included for completeness of the consensus spec).
 The constraint of interest is ``mu(agreement@decide_i(v) | decide_i(v))``
 — exactly a paper-style probabilistic constraint, with the decision a
 deterministic action.
+
+Both run facts are written in the fact language, from ``performed``
+and ``local_state_occurs`` atoms joined by ``And``/``Or``/``Not``, so
+the engine evaluates them as mask algebra over its action and
+local-state tables (no per-run scan), and a rebuilt ``agreement(n)``
+has the same structural key as the first one and hits every cache
+(``docs/engine.md``, "Facts the engine can see").
 """
 
 from __future__ import annotations
 
 from typing import Sequence, Tuple
 
-from ..core.atoms import does_, performed
-from ..core.facts import Fact, LambdaRunFact
+from ..core.atoms import does_, local_state_occurs, performed
+from ..core.facts import And, Fact, Not, Or
 from ..core.numeric import ProbabilityLike, as_fraction
-from ..core.pps import PPS, AgentId, Run
+from ..core.pps import PPS, AgentId
 from ..messaging.channels import LossyChannel
 from ..messaging.messages import Message, Move
 from ..messaging.network import RecordingState, RoundProtocol
@@ -40,6 +47,7 @@ __all__ = [
     "build_consensus",
     "decides",
     "decision_action",
+    "someone_decides",
     "agreement",
     "validity",
 ]
@@ -123,31 +131,33 @@ def decides(agent: AgentId, value: int) -> Fact:
     return does_(agent, decision_action(value))
 
 
+def someone_decides(n: int, value: int) -> Fact:
+    """The run fact "some agent decides ``value``" (``D_v``)."""
+    return Or(*(performed(name, decision_action(value)) for name in agent_names(n)))
+
+
 def agreement(n: int = 2) -> Fact:
-    """The run fact "all agents decide the same value"."""
-    names = agent_names(n)
+    """The run fact "all agents decide the same value".
 
-    def check(pps: PPS, run: Run) -> bool:
-        values = set()
-        for name in names:
-            for value in (0, 1):
-                if run.performs(name, decision_action(value)):
-                    values.add(value)
-        return len(values) == 1
-
-    return LambdaRunFact(check, label=f"agreement(n={n})")
+    Exactly one value is decided: ``(D_0 & ~D_1) | (D_1 & ~D_0)``.
+    """
+    zero, one = someone_decides(n, 0), someone_decides(n, 1)
+    return Or(And(zero, Not(one)), And(one, Not(zero)), label=f"agreement(n={n})")
 
 
 def validity(n: int = 2) -> Fact:
-    """The run fact "every decided value was some agent's input"."""
+    """The run fact "every decided value was some agent's input".
+
+    For each value ``v``: ``D_v`` implies that some agent's time-0
+    local state is ``RecordingState(v)`` (the input ``v``).
+    """
     names = agent_names(n)
-
-    def check(pps: PPS, run: Run) -> bool:
-        inputs = {run.local(name, 0)[1].payload for name in names}
-        for name in names:
-            for value in (0, 1):
-                if run.performs(name, decision_action(value)) and value not in inputs:
-                    return False
-        return True
-
-    return LambdaRunFact(check, label=f"validity(n={n})")
+    return And(
+        *(
+            someone_decides(n, value).implies(
+                Or(*(local_state_occurs(name, (0, RecordingState(value))) for name in names))
+            )
+            for value in (0, 1)
+        ),
+        label=f"validity(n={n})",
+    )

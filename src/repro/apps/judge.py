@@ -156,7 +156,10 @@ def build_judge(
 def guilty() -> Fact:
     """The fact that the defendant is guilty (a fact about runs)."""
     return local_fact(
-        WITNESS, lambda local: local[1].payload == 1, label="guilty"
+        WITNESS,
+        lambda local: local[1].payload == 1,
+        label="guilty",
+        key="judge.guilty",
     )
 
 

@@ -93,7 +93,7 @@ def bit_is_one() -> Fact:
         t, raw = local  # stamped (time, raw)
         return _bit_of(raw) == 1
 
-    return local_fact(AGENT_J, predicate, label="bit=1")
+    return local_fact(AGENT_J, predicate, label="bit=1", key="theorem52.bit_is_one")
 
 
 def _bit_of(raw: object) -> int:

@@ -53,6 +53,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
+from .bitset import bit_positions
 from .faults import maybe_fire, record_degradation
 from .lazyprob import ABS_EPS, REL_EPS
 
@@ -345,15 +346,11 @@ class WeightKernel:
         k = 0
         approx = self._approx
         err = self._err
-        m = mask
-        while m:
-            lsb = m & -m
-            i = lsb.bit_length() - 1
+        for i in bit_positions(mask):
             total += approx[i]
             abs_total += abs(approx[i])
             conv += err[i]
             k += 1
-            m ^= lsb
         return total, conv + k * REL_EPS * abs_total + ABS_EPS
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Callable, Hashable
 
 from .engine import SystemIndex
-from .facts import Fact, RunFact
+from .facts import Fact, RunFact, predicate_key
 from .pps import PPS, Action, AgentId, GlobalState, LocalState, Run
 
 __all__ = [
@@ -145,6 +145,17 @@ class LocalStateOccurs(RunFact):
             return False
         return run.local(self.agent, time) == self.local
 
+    def engine_mask(self, index, t):
+        # The occurrence table already holds the runs through the
+        # state.  An unknown agent is left to the point scan, which
+        # owns the error (and its short-circuit semantics).
+        if self.agent not in index.pps.agents:
+            return None
+        mask = index.occurrence_mask(self.agent, self.local)
+        if t is None:
+            return mask
+        return mask & index.alive_mask(t)
+
 
 def local_state_occurs(agent: AgentId, local: LocalState) -> LocalStateOccurs:
     """The run fact that ``agent`` is in ``local`` at some point of the run."""
@@ -156,19 +167,23 @@ class StateFact(Fact):
 
     Such facts are always past-based (runs agreeing up to ``t`` agree
     on ``r(t)``), so by the paper's Lemma 4.3(b) they are local-state
-    independent of every proper action.
+    independent of every proper action.  ``key`` is the declared
+    identity of the predicate (see :func:`~repro.core.facts.predicate_key`).
     """
 
     def __init__(
-        self, predicate: Callable[[GlobalState], bool], label: str = "state-fact"
+        self,
+        predicate: Callable[[GlobalState], bool],
+        label: str = "state-fact",
+        *,
+        key: Hashable = None,
     ) -> None:
         self._predicate = predicate
+        self._key = predicate_key(predicate, key)
         self.label = label
 
     def _structure(self):
-        # Keyed on the predicate object: the same callable wrapped
-        # twice is the same fact; distinct closures stay distinct.
-        return (self._predicate,)
+        return self._key
 
     def _action_dependence(self) -> bool:
         # The predicate only ever sees the current global state.
@@ -179,25 +194,40 @@ class StateFact(Fact):
 
 
 def state_fact(
-    predicate: Callable[[GlobalState], bool], label: str = "state-fact"
+    predicate: Callable[[GlobalState], bool],
+    label: str = "state-fact",
+    *,
+    key: Hashable = None,
 ) -> StateFact:
-    """A transient fact from a predicate on the current global state."""
-    return StateFact(predicate, label)
+    """A transient fact from a predicate on the current global state.
+
+    Pass ``key`` (a hashable value that determines ``predicate``)
+    whenever the predicate is a closure built per call: equal keys let
+    the engine share cache entries between rebuilt copies.
+    """
+    return StateFact(predicate, label, key=key)
 
 
 def local_fact(
     agent: AgentId,
     predicate: Callable[[LocalState], bool],
     label: str = "local-fact",
+    *,
+    key: Hashable = None,
 ) -> Fact:
-    """A transient fact from a predicate on ``agent``'s current local state."""
+    """A transient fact from a predicate on ``agent``'s current local state.
+
+    ``key`` is the predicate's declared identity, as for
+    :func:`state_fact`; facts of different agents never share a key.
+    """
+    structure = (agent, *predicate_key(predicate, key))
 
     class _LocalFact(Fact):
         def __init__(self) -> None:
             self.label = f"{label}[{agent}]"
 
         def _structure(self):
-            return (agent, predicate)
+            return structure
 
         def _action_dependence(self) -> bool:
             # The predicate only ever sees the agent's local state.

@@ -86,7 +86,6 @@ from typing import (
     TYPE_CHECKING,
     Dict,
     FrozenSet,
-    Iterator,
     List,
     Mapping,
     Optional,
@@ -96,6 +95,7 @@ from typing import (
 )
 
 from .arraykernel import ThresholdKernel, WeightKernel, div_bounds, float_with_err
+from .bitset import bit_positions, bits
 from .errors import (
     ConditioningOnNullEventError,
     UnknownAgentError,
@@ -110,13 +110,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 
 __all__ = ["SystemIndex", "bits"]
 
-
-def bits(mask: int) -> Iterator[int]:
-    """Iterate over the set bit positions of ``mask``, ascending."""
-    while mask:
-        lsb = mask & -mask
-        yield lsb.bit_length() - 1
-        mask ^= lsb
+#: Marks, in a ``memo=False`` overlay, the run-mask key of a run fact
+#: whose whole-run scan raised (:meth:`SystemIndex._leaf_mask`).
+_RUN_SCAN_FAILED = object()
 
 
 class SystemIndex:
@@ -178,6 +174,7 @@ class SystemIndex:
         "_agent_actions": "shape",
         "_proper_cache": "shape",
         "_performing_at": "shape",
+        "_failed_run_scans": "shape",
     }
 
     #: Instance attributes that are bookkeeping, not cached data:
@@ -318,6 +315,9 @@ class SystemIndex:
         # (Fact.mentions_actions() returned False at caching time);
         # only these survive into a derived index.
         self._action_free: Set[object] = set()
+        # Run-mask keys of run facts whose whole-run scan raised: their
+        # slices go straight to the slice scan (see _leaf_mask).
+        self._failed_run_scans: Set[object] = set()
         # Set by derived(): the parent index the action tables are
         # incrementally rebuilt from on first use.
         self._derived_parent: Optional["SystemIndex"] = None
@@ -465,6 +465,9 @@ class SystemIndex:
             index._lazy_beliefs = dict(lazy_beliefs)
         index._at_action_cache = {}
         index._independence_cache = {}
+        # A partial fact may raise on the parent's labels and not on the
+        # child's (e.g. an improper action): failures start afresh.
+        index._failed_run_scans = set()
         # Shard plans depend only on the shared tree's leaf ranges.
         index._shard_plans = parent._shard_plans
         return index
@@ -773,14 +776,7 @@ class SystemIndex:
                 # Contiguous range (every subtree event is one): O(1).
                 cached = self._prefix[hi] - self._prefix[lo]
             else:
-                total = 0
-                weights = self._weights
-                m = mask
-                while m:
-                    lsb = m & -m
-                    total += weights[lsb.bit_length() - 1]
-                    m ^= lsb
-                cached = total
+                cached = sum(map(self._weights.__getitem__, bit_positions(mask)))
             self._total_cache[mask] = cached
         return cached
 
@@ -1149,6 +1145,46 @@ class SystemIndex:
             raise error
         return mask
 
+    def _leaf_mask(
+        self, fact: "Fact", t: Optional[int], overlay: Optional[Dict[object, int]]
+    ) -> int:
+        """An opaque leaf's mask by point evaluation.
+
+        A run fact is scanned once per run, not once per slice: its
+        time-``t`` slice is its run mask restricted to the runs alive
+        at ``t``.  When the run scan raises (a partial fact may raise
+        on runs that die before ``t``), the slice scan decides, so the
+        error semantics are exactly those of scanning the slice; the
+        failure is recorded, so later slices skip the run scan.
+        """
+        if t is not None and fact.is_run_fact and not self._run_scan_failed(
+            fact, overlay
+        ):
+            try:
+                return self._combine_mask(fact, None, overlay) & self.alive_mask(t)
+            except Exception:
+                self._note_run_scan_failed(self._fact_key(fact), overlay)
+        return self._scan_mask(fact, t)
+
+    def _run_scan_failed(
+        self, fact: "Fact", overlay: Optional[Dict[object, int]]
+    ) -> bool:
+        """Whether ``fact``'s whole-run scan is known to raise."""
+        key = self._fact_key(fact)
+        if key in self._failed_run_scans:
+            return True
+        return overlay is not None and (_RUN_SCAN_FAILED, key) in overlay
+
+    def _note_run_scan_failed(
+        self, key: object, overlay: Optional[Dict[object, int]]
+    ) -> None:
+        # Under memo=False the record stays in the per-call overlay, like
+        # every other result of the call.
+        if overlay is None:
+            self._failed_run_scans.add(key)
+        else:
+            overlay[(_RUN_SCAN_FAILED, key)] = 0
+
     def _combine_mask(
         self, fact: "Fact", t: Optional[int], overlay: Optional[Dict[object, int]]
     ) -> int:
@@ -1163,7 +1199,7 @@ class SystemIndex:
         if parts is None:
             mask = fact.engine_mask(self, t)
             if mask is None:
-                mask = self._scan_mask(fact, t)
+                mask = self._leaf_mask(fact, t, overlay)
         else:
             kind, operands = parts
             try:
@@ -1317,6 +1353,9 @@ class SystemIndex:
         ``t`` selects the slice caches; ``None`` selects the run-mask
         caches.  Connectives are never scanned directly — they combine
         from their operands' masks — so only leaves land in ``pending``.
+        Opaque run-fact leaves are collected for the run-mask universe
+        whatever ``t`` is (see :meth:`_leaf_mask`), under their run-mask
+        key, unless their run scan is known to raise.
         """
         key = self._cache_key(fact, t)
         if key in pending:
@@ -1335,6 +1374,12 @@ class SystemIndex:
                     self._note_action_free(fact)
                 else:
                     overlay[key] = mask
+            elif (
+                t is not None
+                and fact.is_run_fact
+                and not self._run_scan_failed(fact, overlay)
+            ):
+                self._collect_leaves(fact, None, pending, overlay)
             else:
                 pending[key] = fact
         else:
@@ -1346,17 +1391,28 @@ class SystemIndex:
         pending: Dict[object, "Fact"],
         t: Optional[int],
         overlay: Optional[Dict[object, int]],
+        scan=None,
     ) -> None:
         """Scan the pending leaves in one pass and cache the clean ones.
 
-        Leaves whose ``holds`` raised are left uncached; when their
-        mask is actually demanded, :meth:`_combine_mask` re-raises (for
-        a top-level leaf) or falls back to per-point composite
-        evaluation (for a guarded sub-fact), matching the pre-batching
-        semantics.
+        ``pending`` is what :meth:`_collect_leaves` gathered for slice
+        ``t``: leaves gathered under their run-mask key are scanned over
+        whole runs, the rest over the slice.  ``scan(facts, t) ->
+        (masks, errors)`` defaults to :meth:`_scan_batch`.  Leaves whose ``holds`` raised are left
+        uncached; when their mask is actually demanded,
+        :meth:`_combine_mask` re-raises (for a top-level leaf) or falls
+        back to per-point composite evaluation (for a guarded
+        sub-fact), matching the pre-batching semantics.
         """
-        masks, errors = self._scan_batch(list(pending.values()), t)
-        self._absorb_scanned(pending, t, overlay, masks, errors)
+        scan = scan or self._scan_batch
+        universes: Dict[Optional[int], Dict[object, "Fact"]] = {}
+        for key, fact in pending.items():
+            # A slice key is ``(bare, t)``; a run-mask key is the bare key.
+            universe = None if key == self._fact_key(fact) else t
+            universes.setdefault(universe, {})[key] = fact
+        for universe, group in universes.items():
+            masks, errors = scan(list(group.values()), universe)
+            self._absorb_scanned(group, universe, overlay, masks, errors)
 
     def _absorb_scanned(
         self,
@@ -1373,7 +1429,8 @@ class SystemIndex:
         results and hands them here, so worker-side cache growth (lost
         with the fork) is re-absorbed by the parent under the same
         keying and ``_action_free`` discipline as an in-process scan.
-        Errored facts stay uncached, exactly like :meth:`_cache_scanned`.
+        Errored facts stay uncached; an errored whole-run scan of a run
+        fact is recorded so that its slices skip it (:meth:`_leaf_mask`).
         """
         target = self._mask_cache(t) if overlay is None else overlay
         for (key, fact), mask, error in zip(pending.items(), masks, errors):
@@ -1381,6 +1438,8 @@ class SystemIndex:
                 target[key] = mask
                 if overlay is None:
                     self._note_action_free(fact)
+            elif t is None and fact.is_run_fact:
+                self._note_run_scan_failed(key, overlay)
 
     def events_of(self, facts: Sequence["Fact"], *, memo: bool = True) -> List[int]:
         """Satisfying-run masks for a batch of facts, one pass over the runs.

@@ -25,7 +25,7 @@ the run fact ``alpha`` is ``eventually(does_i(alpha))``).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, Optional, Set, Tuple
+from typing import Callable, Hashable, Optional, Set, Tuple
 
 from .engine import SystemIndex, bits
 from .measure import Event
@@ -36,6 +36,7 @@ __all__ = [
     "RunFact",
     "LambdaFact",
     "LambdaRunFact",
+    "predicate_key",
     "And",
     "Or",
     "Not",
@@ -192,23 +193,52 @@ class RunFact(Fact):
         return True
 
 
+def predicate_key(predicate: Callable, key: Hashable) -> Tuple[object, ...]:
+    """The structure of an opaque predicate fact: its declared key, else
+    the callable itself.
+
+    A declared ``key`` must *determine the predicate*: two facts of one
+    class with equal keys must hold at exactly the same points of every
+    system.  The engine then shares cache entries between independently
+    built copies (e.g. a factory that returns a fresh closure per call).
+    Without a key the fact is keyed on the callable object, so wrapping
+    the same callable twice is one fact while two closures of the same
+    code stay distinct — sound, but a rebuilt closure misses every
+    cache.
+
+    Raises:
+        TypeError: when ``key`` is not hashable.
+    """
+    if key is None:
+        return (predicate,)
+    hash(key)
+    return ("key", key)
+
+
 # repro: allow[RP002] opaque predicate: nothing is known about action
 # dependence, so the conservative default (True) is the only sound
 # answer.
 class LambdaFact(Fact):
-    """A transient fact defined by an arbitrary point predicate."""
+    """A transient fact defined by an arbitrary point predicate.
+
+    ``key`` is the fact's declared identity (see :func:`predicate_key`):
+    give one whenever the predicate is rebuilt per call, or equal facts
+    miss every engine cache.
+    """
 
     def __init__(
-        self, predicate: Callable[[PPS, Run, int], bool], label: str = "fact"
+        self,
+        predicate: Callable[[PPS, Run, int], bool],
+        label: str = "fact",
+        *,
+        key: Hashable = None,
     ) -> None:
         self._predicate = predicate
+        self._key = predicate_key(predicate, key)
         self.label = label
 
     def _structure(self) -> Tuple[object, ...]:
-        # Keyed on the predicate object: wrapping the same callable
-        # twice yields the same fact, while distinct closures (even of
-        # the same code) stay distinct.
-        return (self._predicate,)
+        return self._key
 
     def holds(self, pps: PPS, run: Run, t: int) -> bool:
         return self._predicate(pps, run, t)
@@ -217,29 +247,41 @@ class LambdaFact(Fact):
 # repro: allow[RP002] opaque predicate: the conservative
 # action-dependence default (True) is the only sound answer.
 class LambdaRunFact(RunFact):
-    """A run fact defined by an arbitrary run predicate."""
+    """A run fact defined by an arbitrary run predicate.
+
+    ``key`` is the fact's declared identity, as for :class:`LambdaFact`.
+    """
 
     def __init__(
-        self, predicate: Callable[[PPS, Run], bool], label: str = "run-fact"
+        self,
+        predicate: Callable[[PPS, Run], bool],
+        label: str = "run-fact",
+        *,
+        key: Hashable = None,
     ) -> None:
         self._predicate = predicate
+        self._key = predicate_key(predicate, key)
         self.label = label
 
     def _structure(self) -> Tuple[object, ...]:
-        return (self._predicate,)
+        return self._key
 
     def holds(self, pps: PPS, run: Run, t: int) -> bool:
         return self._predicate(pps, run)
 
 
 class And(Fact):
-    """Conjunction of facts; a run fact when all conjuncts are."""
+    """Conjunction of facts; a run fact when all conjuncts are.
 
-    def __init__(self, *conjuncts: Fact) -> None:
+    ``label`` names the conjunction (it defaults to the joined operand
+    labels); labels are display-only and never part of the key.
+    """
+
+    def __init__(self, *conjuncts: Fact, label: Optional[str] = None) -> None:
         if not conjuncts:
             raise ValueError("And() needs at least one conjunct")
         self.conjuncts: Tuple[Fact, ...] = conjuncts
-        self.label = "(" + " & ".join(c.label for c in conjuncts) + ")"
+        self.label = label or "(" + " & ".join(c.label for c in conjuncts) + ")"
 
     def _structure(self) -> Tuple[object, ...]:
         return tuple(c.structural_key() for c in self.conjuncts)
@@ -256,13 +298,16 @@ class And(Fact):
 
 
 class Or(Fact):
-    """Disjunction of facts; a run fact when all disjuncts are."""
+    """Disjunction of facts; a run fact when all disjuncts are.
 
-    def __init__(self, *disjuncts: Fact) -> None:
+    ``label`` works as for :class:`And`.
+    """
+
+    def __init__(self, *disjuncts: Fact, label: Optional[str] = None) -> None:
         if not disjuncts:
             raise ValueError("Or() needs at least one disjunct")
         self.disjuncts: Tuple[Fact, ...] = disjuncts
-        self.label = "(" + " | ".join(d.label for d in disjuncts) + ")"
+        self.label = label or "(" + " | ".join(d.label for d in disjuncts) + ")"
 
     def _structure(self) -> Tuple[object, ...]:
         return tuple(d.structural_key() for d in self.disjuncts)
@@ -279,11 +324,14 @@ class Or(Fact):
 
 
 class Not(Fact):
-    """Negation of a fact; a run fact when the operand is."""
+    """Negation of a fact; a run fact when the operand is.
 
-    def __init__(self, operand: Fact) -> None:
+    ``label`` works as for :class:`And`.
+    """
+
+    def __init__(self, operand: Fact, *, label: Optional[str] = None) -> None:
         self.operand = operand
-        self.label = f"~{operand.label}"
+        self.label = label or f"~{operand.label}"
 
     def _structure(self) -> Tuple[object, ...]:
         return (self.operand.structural_key(),)

@@ -993,12 +993,11 @@ class ShardedExecutor:
         for fact in facts:
             index._collect_leaves(fact, t, pending, overlay)
         if pending:
-            masks, errors = self._scan_leaves(list(pending.values()), t)
             # Merge back into the parent index through the engine's own
             # cache discipline (structural keys + _action_free records):
             # worker-side cache growth died with the fork, the combined
             # masks are what survives.
-            index._absorb_scanned(pending, t, overlay, masks, errors)
+            index._cache_scanned(pending, t, overlay, scan=self._scan_leaves)
         return [index._combine_mask(fact, t, overlay) for fact in facts]
 
     # -- queries --------------------------------------------------------

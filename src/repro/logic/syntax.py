@@ -222,6 +222,7 @@ class Belief(Formula):
         return LambdaFact(
             lambda pps, run, t: compare(belief_at(pps, agent, inner, run, t), level),
             label=f"B[{agent}]{self.comparison}{level}({inner.label})",
+            key=("belief", agent, self.comparison, level, inner.structural_key()),
         )
 
     def __str__(self) -> str:

@@ -25,7 +25,7 @@ channel itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.errors import CompilationError
 from ..core.numeric import ONE, Probability
@@ -101,17 +101,26 @@ class MessagePassingSystem:
         with ``memoize=True`` (the default) it is computed once per
         distinct configuration and reused as an expansion template, and
         all configurations, stamped states, and stamped local values
-        are interned (``pps.intern``).  ``memoize=False`` re-enumerates
-        every node; both modes produce identical trees.
+        are interned (``pps.intern``).  Perfect-recall configurations
+        rarely recur, so ``memoize=True`` also memoizes the parts of a
+        round that do: each agent's step distribution per raw local
+        state, the joint-move product per tuple of (interned) step
+        distributions, and the delivery-pattern distribution per tuple
+        of per-message delivery probabilities.  ``memoize=False``
+        re-enumerates every node; both modes produce identical trees.
         """
         agents = self.agents
         table: Optional[InternTable] = InternTable() if memoize else None
+        joint_moves = self._memoized_joint_moves() if memoize else self._joint_moves
+        delivery_patterns = (
+            self._memoized_delivery_patterns() if memoize else self._delivery_patterns
+        )
 
         def expand(raw_locals: Tuple[LocalState, ...], t: int) -> List[Edge]:
             edges: List[Edge] = []
-            for joint_move, move_prob in self._joint_moves(raw_locals).items():
+            for joint_move, move_prob in joint_moves(raw_locals).items():
                 sent = self._sent_messages(joint_move)
-                for pattern, pattern_prob in self._delivery_patterns(sent).items():
+                for pattern, pattern_prob in delivery_patterns(sent).items():
                     new_locals = self._apply_round(raw_locals, joint_move, sent, pattern)
                     if table is not None:
                         new_locals = table.config(new_locals)
@@ -156,15 +165,41 @@ class MessagePassingSystem:
         self, raw_locals: Tuple[LocalState, ...]
     ) -> Distribution:
         """Distribution over tuples of per-agent moves (independent)."""
-        joint: List[Tuple[Tuple[Move, ...], Probability]] = [((), ONE)]
-        for agent, raw in zip(self.agents, raw_locals):
-            dist = self.protocols[agent].step_distribution(raw)
-            joint = [
-                (moves + (move,), weight * w)
-                for moves, weight in joint
-                for move, w in dist.items()
+        return _move_product(
+            [
+                self.protocols[agent].step_distribution(raw)
+                for agent, raw in zip(self.agents, raw_locals)
             ]
-        return Distribution(dict(joint))
+        )
+
+    def _memoized_joint_moves(self) -> Callable[[Tuple[LocalState, ...]], Distribution]:
+        """:meth:`_joint_moves` with memos that live for one compile.
+
+        Step distributions are memoized per (agent, raw local) and
+        interned by content, so the joint product can be memoized per
+        tuple of distribution identities.  ``canonical`` keeps every
+        interned distribution alive, so an identity is never reused.
+        """
+        steps: Dict[Tuple[AgentId, LocalState], Distribution] = {}
+        canonical: Dict[Tuple, Distribution] = {}
+        products: Dict[Tuple[int, ...], Distribution] = {}
+
+        def joint_moves(raw_locals: Tuple[LocalState, ...]) -> Distribution:
+            dists = []
+            for agent, raw in zip(self.agents, raw_locals):
+                dist = steps.get((agent, raw))
+                if dist is None:
+                    dist = self.protocols[agent].step_distribution(raw)
+                    dist = canonical.setdefault(tuple(dist.items()), dist)
+                    steps[(agent, raw)] = dist
+                dists.append(dist)
+            key = tuple(map(id, dists))
+            joint = products.get(key)
+            if joint is None:
+                joint = products[key] = _move_product(dists)
+            return joint
+
+        return joint_moves
 
     @staticmethod
     def _sent_messages(joint_move: Tuple[Move, ...]) -> Tuple[Message, ...]:
@@ -176,20 +211,31 @@ class MessagePassingSystem:
 
     def _delivery_patterns(self, sent: Tuple[Message, ...]) -> Distribution:
         """Distribution over delivery bit-vectors for the sent messages."""
-        joint: List[Tuple[Tuple[bool, ...], Probability]] = [((), ONE)]
-        for message in sent:
-            p = self.channel.delivery_probability(message)
-            outcomes: List[Tuple[bool, Probability]] = []
-            if p > 0:
-                outcomes.append((True, p))
-            if p < 1:
-                outcomes.append((False, ONE - p))
-            joint = [
-                (bits + (bit,), weight * w)
-                for bits, weight in joint
-                for bit, w in outcomes
-            ]
-        return Distribution(dict(joint))
+        return _pattern_distribution(
+            tuple(self.channel.delivery_probability(message) for message in sent)
+        )
+
+    def _memoized_delivery_patterns(
+        self,
+    ) -> Callable[[Tuple[Message, ...]], Distribution]:
+        """:meth:`_delivery_patterns` memoized per probability tuple.
+
+        The channel is still asked about every message, so a channel
+        whose probability depends on the message (``FunctionChannel``)
+        gets the pattern distribution of its own probabilities.
+        """
+        patterns: Dict[Tuple[Probability, ...], Distribution] = {}
+
+        def delivery_patterns(sent: Tuple[Message, ...]) -> Distribution:
+            probabilities = tuple(
+                self.channel.delivery_probability(message) for message in sent
+            )
+            dist = patterns.get(probabilities)
+            if dist is None:
+                dist = patterns[probabilities] = _pattern_distribution(probabilities)
+            return dist
+
+        return delivery_patterns
 
     def _apply_round(
         self,
@@ -211,3 +257,32 @@ class MessagePassingSystem:
             self.protocols[agent].update(raw, move, tuple(delivered_to[agent]))
             for agent, raw, move in zip(self.agents, raw_locals, joint_move)
         )
+
+
+def _move_product(dists: Sequence[Distribution]) -> Distribution:
+    """The independent joint distribution over one move per agent."""
+    joint: List[Tuple[Tuple[Move, ...], Probability]] = [((), ONE)]
+    for dist in dists:
+        joint = [
+            (moves + (move,), weight * w)
+            for moves, weight in joint
+            for move, w in dist.items()
+        ]
+    return Distribution(dict(joint))
+
+
+def _pattern_distribution(probabilities: Tuple[Probability, ...]) -> Distribution:
+    """Distribution over delivery bit-vectors, one bit per probability."""
+    joint: List[Tuple[Tuple[bool, ...], Probability]] = [((), ONE)]
+    for p in probabilities:
+        outcomes: List[Tuple[bool, Probability]] = []
+        if p > 0:
+            outcomes.append((True, p))
+        if p < 1:
+            outcomes.append((False, ONE - p))
+        joint = [
+            (bits + (bit,), weight * w)
+            for bits, weight in joint
+            for bit, w in outcomes
+        ]
+    return Distribution(dict(joint))

@@ -257,6 +257,26 @@ class CheckConfig:
         "absorb_events",
     )
 
+    # RP011: library code that must give every closure fact it builds a
+    # declared ``key=`` (docs/engine.md, "Facts the engine can see"),
+    # minus the modules that define the closure-fact builders.
+    keyed_fact_scope: Tuple[str, ...] = ("src/repro/",)
+    keyed_fact_exempt: Tuple[str, ...] = (
+        "src/repro/core/facts.py",
+        "src/repro/core/atoms.py",
+    )
+    closure_fact_builders: Tuple[str, ...] = (
+        "LambdaFact",
+        "LambdaRunFact",
+        "StateFact",
+        "state_fact",
+        "local_fact",
+        "env_fact",
+    )
+
+    # RP012: the one module allowed to walk a mask bit by bit.
+    mask_decode_modules: Tuple[str, ...] = ("src/repro/core/bitset.py",)
+
     def is_exact_core(self, rel_path: str) -> bool:
         return _matches(rel_path, self.exact_core) and not _matches(
             rel_path, self.numeric_tiers

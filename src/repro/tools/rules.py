@@ -1,4 +1,4 @@
-"""The invariant rules of ``repro.tools.check`` (RP001–RP010).
+"""The invariant rules of ``repro.tools.check`` (RP001–RP012).
 
 Each rule enforces one hand-maintained invariant the layered engine
 depends on; the catalogue with rationale lives in
@@ -27,6 +27,8 @@ __all__ = [
     "ShardCombineOrder",
     "WeightSplitDiscipline",
     "SilentDegradation",
+    "KeylessClosureFact",
+    "PerBitMaskWalk",
 ]
 
 
@@ -985,3 +987,112 @@ class SilentDegradation(Rule):
             if isinstance(sub, ast.Call) and _call_name(sub) in recorders:
                 return True
         return False
+
+
+# ---------------------------------------------------------------------------
+# RP011
+# ---------------------------------------------------------------------------
+
+
+@register
+class KeylessClosureFact(Rule):
+    """A closure fact built in library code without a declared ``key=``.
+
+    A closure fact (``LambdaFact``, ``LambdaRunFact``, ``state_fact``,
+    ``local_fact``, ``env_fact``) is keyed on its callable unless it
+    declares a key, and a factory builds a fresh closure per call: every
+    rebuilt copy misses every engine cache and is rescanned point by
+    point (``docs/engine.md``, "Facts the engine can see").  Library
+    code writes its conditions with atoms and connectives, or declares a
+    key that determines the predicate.  ``key=None`` counts as no key.
+    """
+
+    id = "RP011"
+    title = "closure fact without a declared key"
+    interests = (ast.Call,)
+
+    def applies_to(self, ctx: FileContext) -> bool:
+        return ctx.matches(ctx.config.keyed_fact_scope) and not ctx.matches(
+            ctx.config.keyed_fact_exempt
+        )
+
+    def visit(self, node: ast.AST, ctx: FileContext) -> Iterator[Finding]:
+        if not isinstance(node, ast.Call):
+            return
+        name = _call_name(node)
+        if name not in ctx.config.closure_fact_builders:
+            return
+        for keyword in node.keywords:
+            if keyword.arg is None:
+                return  # a **kwargs splat may carry the key
+            if keyword.arg == "key" and not (
+                isinstance(keyword.value, ast.Constant) and keyword.value.value is None
+            ):
+                return
+        yield self.finding(
+            ctx,
+            node,
+            f"{name}(...) builds a closure fact without key=; a rebuilt "
+            "copy misses every engine cache — write the condition with "
+            "atoms and connectives, or declare a key that determines "
+            "the predicate (env_fact takes none: use state_fact)",
+        )
+
+
+# ---------------------------------------------------------------------------
+# RP012
+# ---------------------------------------------------------------------------
+
+
+@register
+class PerBitMaskWalk(Rule):
+    """A per-bit mask walk (``while m: ... m & -m ...``) outside the
+    decode primitive.
+
+    Popping one set bit per step costs a full-width big-int operation
+    per bit — O(popcount x width), about 50x slower than the byte-table
+    decode of :func:`repro.core.bitset.bit_positions` on a half-dense
+    65,536-run mask.  Every mask walk goes through that primitive.
+    """
+
+    id = "RP012"
+    title = "per-bit mask walk outside repro.core.bitset"
+    interests = (ast.BinOp,)
+
+    def applies_to(self, ctx: FileContext) -> bool:
+        return not ctx.matches(ctx.config.mask_decode_modules)
+
+    def visit(self, node: ast.AST, ctx: FileContext) -> Iterator[Finding]:
+        if not isinstance(node, ast.BinOp) or not isinstance(node.op, ast.BitAnd):
+            return
+        walked = self._lowest_bit_operand(node)
+        if walked is None:
+            return
+        current = ctx.parent(node)
+        while current is not None and not isinstance(
+            current, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+        ):
+            if isinstance(current, ast.While) and walked in _names_in(current.test):
+                yield self.finding(
+                    ctx,
+                    node,
+                    f"per-bit walk over {walked!r} ({walked} & -{walked} in a "
+                    f"while-{walked} loop); decode masks with "
+                    "repro.core.bitset.bit_positions",
+                )
+                return
+            current = ctx.parent(current)
+
+    @staticmethod
+    def _lowest_bit_operand(node: ast.BinOp) -> Optional[str]:
+        """``m`` when ``node`` is ``m & -m`` (either order), else ``None``."""
+        for plain, negated in ((node.left, node.right), (node.right, node.left)):
+            if (
+                isinstance(plain, ast.Name)
+                and isinstance(negated, ast.UnaryOp)
+                and isinstance(negated.op, ast.USub)
+                and isinstance(negated.operand, ast.Name)
+                and negated.operand.id == plain.id
+            ):
+                return plain.id
+        return None

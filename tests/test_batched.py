@@ -161,11 +161,39 @@ class TestStructuralSharing:
         assert fact.structural_key() is fact.structural_key()
 
     def test_predicate_facts_key_on_the_callable(self):
-        # Distinct predicate closures (even from the same seed) must
-        # not share cache entries: nothing relates their semantics.
-        first = random_state_fact(5)
-        second = random_state_fact(5)
+        # Distinct keyless predicate closures (even of the same code)
+        # must not share cache entries: nothing relates their semantics.
+        from repro.core.atoms import state_fact
+
+        def build():
+            return state_fact(lambda state: state.env is None)
+
+        first, second = build(), build()
         assert first.structural_key() != second.structural_key()
+        # Wrapping the same callable twice is the same fact.
+        predicate = first._predicate
+        assert state_fact(predicate).structural_key() == first.structural_key()
+
+    def test_keyed_predicate_facts_share_one_cache_entry(self):
+        # A declared key determines the predicate, so equal-seed
+        # random facts share one entry and different seeds do not.
+        assert random_state_fact(5).structural_key() == (
+            random_state_fact(5).structural_key()
+        )
+        assert random_state_fact(5).structural_key() != (
+            random_state_fact(6).structural_key()
+        )
+        assert random_state_fact(5).structural_key() != (
+            random_state_fact(5, density=0.25).structural_key()
+        )
+        system = random_protocol_system(8)
+        index = SystemIndex.of(system)
+        mask = index.holds_mask_at(random_state_fact(5), 1)
+        cached_entries = len(index._slice_masks)
+        assert index.holds_mask_at(random_state_fact(5), 1) == mask
+        assert len(index._slice_masks) == cached_entries
+        index.holds_mask_at(random_state_fact(6), 1)
+        assert len(index._slice_masks) == cached_entries + 1
 
     def test_opaque_facts_fall_back_to_identity(self):
         from repro.core.facts import RunFact

@@ -210,3 +210,93 @@ class TestTemplateSharing:
     def test_memoized_is_default(self):
         pps = compile_system(rotor_spec(horizon=2))
         assert pps.intern is not None
+
+
+def gossip_system(channel) -> "MessagePassingSystem":
+    """Three agents gossip their bits, then each flips a fair coin.
+
+    Every agent returns a freshly built (equal) coin distribution, so
+    the step memo must intern by content; the channel decides per
+    message.
+    """
+    from repro.messaging import (
+        FunctionRoundProtocol,
+        Message,
+        MessagePassingSystem,
+        Move,
+    )
+
+    agents = ("a", "b", "c")
+
+    def protocol(me):
+        def step(local):
+            bit, heard, t = local
+            if t == 0:
+                return Move.sending(
+                    *(Message(me, other, bit) for other in agents if other != me)
+                )
+            return Distribution(
+                {Move.acting(("coin", 0)): "1/2", Move.acting(("coin", 1)): "1/2"}
+            )
+
+        def update(local, move, delivered):
+            bit, heard, t = local
+            return (bit, heard + tuple(m.content for m in delivered), t + 1)
+
+        return FunctionRoundProtocol(step, update)
+
+    return MessagePassingSystem(
+        agents=agents,
+        protocols={agent: protocol(agent) for agent in agents},
+        channel=channel,
+        initial=Distribution(
+            {
+                ((0, (), 0), (1, (), 0), (1, (), 0)): "1/3",
+                ((1, (), 0), (0, (), 0), (0, (), 0)): "2/3",
+            }
+        ),
+        horizon=2,
+        name="gossip",
+    )
+
+
+class TestMessagePassingCompileMemo:
+    """The step, joint-move and delivery-pattern memos of the
+    message-passing compile keep the tree identical to re-enumeration."""
+
+    def test_consensus_matches_the_re_enumerating_compile(self):
+        assert_compile_parity(
+            build_consensus(n=3, loss="1/5"),
+            build_consensus(n=3, loss="1/5", memoize=False),
+        )
+
+    def test_message_dependent_channel_is_asked_per_message(self):
+        from repro.messaging import FunctionChannel
+
+        asked = {True: 0, False: 0}
+        mode = [True]
+
+        def deliver(message):
+            asked[mode[0]] += 1
+            return Fraction(1, 2) if message.sender == "a" else Fraction(3, 4)
+
+        memo = gossip_system(FunctionChannel(deliver)).compile()
+        mode[0] = False
+        plain = gossip_system(FunctionChannel(deliver)).compile(memoize=False)
+        assert_compile_parity(memo, plain)
+        # Every message of every expanded configuration is still put
+        # to the channel; only the pattern product is shared.
+        assert asked[True] == asked[False] > 0
+        probabilities = {
+            node.prob_from_parent
+            for run in memo.runs
+            for node in run.nodes[1:2]
+        }
+        assert len(probabilities) > 1
+
+    def test_equal_step_distributions_are_shared(self):
+        from repro.messaging import LossyChannel
+
+        memo = gossip_system(LossyChannel("1/3")).compile()
+        plain = gossip_system(LossyChannel("1/3")).compile(memoize=False)
+        assert_compile_parity(memo, plain)

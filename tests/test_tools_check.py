@@ -1016,6 +1016,151 @@ def test_rp010_suppressed_by_allow_comment():
 
 
 # ---------------------------------------------------------------------------
+# RP011: closure facts without a declared key
+# ---------------------------------------------------------------------------
+
+
+def keyed_fact_config():
+    return CheckConfig(keyed_fact_scope=("snippet.py",), keyed_fact_exempt=())
+
+
+def test_rp011_fires_on_keyless_closure_facts():
+    result = run_rule(
+        """
+        def agreement(n):
+            return LambdaRunFact(lambda pps, run: True, label="agreement")
+
+        def guilty():
+            return local_fact("witness", lambda local: True, key=None)
+
+        def phi(seed):
+            return atoms.state_fact(lambda state: seed > 0)
+        """,
+        "RP011",
+        keyed_fact_config(),
+    )
+    assert rule_ids(result) == ["RP011", "RP011", "RP011"]
+    assert "LambdaRunFact(...)" in result.findings[0].message
+
+
+def test_rp011_clean_when_keyed_or_written_with_atoms():
+    result = run_rule(
+        """
+        def agreement(n):
+            return Or(performed("a", 0), performed("b", 0))
+
+        def guilty():
+            return local_fact("witness", check, label="guilty", key="guilty")
+
+        def forwarded(**options):
+            return state_fact(check, **options)
+        """,
+        "RP011",
+        keyed_fact_config(),
+    )
+    assert result.findings == []
+
+
+def test_rp011_exempts_the_fact_modules_and_non_library_code():
+    source = """
+        def env_fact(predicate):
+            return StateFact(lambda state: predicate(state.env))
+        """
+    exempt = CheckConfig(
+        keyed_fact_scope=("snippet.py",), keyed_fact_exempt=("snippet.py",)
+    )
+    assert run_rule(source, "RP011", exempt).findings == []
+    assert run_rule(source, "RP011", CheckConfig()).findings == []
+
+
+def test_rp011_suppressed_by_allow_comment():
+    result = run_rule(
+        """
+        def probe():
+            # repro: allow[RP011] one-shot fact, never rebuilt
+            return LambdaFact(lambda pps, run, t: True)
+        """,
+        "RP011",
+        keyed_fact_config(),
+    )
+    assert result.findings == []
+    assert result.suppressed == 1
+
+
+# ---------------------------------------------------------------------------
+# RP012: per-bit mask walks outside the decode primitive
+# ---------------------------------------------------------------------------
+
+
+def test_rp012_fires_on_per_bit_walks():
+    result = run_rule(
+        """
+        def total(mask, weights):
+            out = 0
+            while mask:
+                lsb = mask & -mask
+                out += weights[lsb.bit_length() - 1]
+                mask ^= lsb
+            return out
+
+        def positions(m):
+            while m:
+                yield (-m & m).bit_length() - 1
+                m &= m - 1
+        """,
+        "RP012",
+    )
+    assert rule_ids(result) == ["RP012", "RP012"]
+    assert "bit_positions" in result.findings[0].message
+
+
+def test_rp012_clean_on_single_lowest_bit_and_other_loops():
+    result = run_rule(
+        """
+        def lowest(mask):
+            return (mask & -mask).bit_length() - 1
+
+        def lows(masks):
+            return [(m & -m).bit_length() - 1 for m in masks]
+
+        def countdown(n, mask):
+            while n:
+                low = mask & -mask
+                n -= 1
+            return low
+        """,
+        "RP012",
+    )
+    assert result.findings == []
+
+
+def test_rp012_exempts_the_decode_module():
+    source = """
+        def bit_positions(mask):
+            while mask:
+                lsb = mask & -mask
+                mask ^= lsb
+        """
+    config = CheckConfig(mask_decode_modules=("snippet.py",))
+    assert run_rule(source, "RP012", config).findings == []
+
+
+def test_rp012_suppressed_by_allow_comment():
+    result = run_rule(
+        """
+        def walk(mask):
+            while mask:
+                # repro: allow[RP012] masks here have at most two bits
+                lsb = mask & -mask
+                mask ^= lsb
+        """,
+        "RP012",
+    )
+    assert result.findings == []
+    assert result.suppressed == 1
+
+
+# ---------------------------------------------------------------------------
 # Suppression machinery
 # ---------------------------------------------------------------------------
 
@@ -1205,7 +1350,7 @@ def test_live_tree_passes_strict_analyzer(capsys):
     output = capsys.readouterr().out
     assert exit_code == 0, output
     assert "0 finding(s)" in output
-    assert "10 rule(s) active" in output
+    assert "12 rule(s) active" in output
 
 
 def test_committed_baseline_ships_empty():
